@@ -2,7 +2,6 @@
 measure data: truncation and mollification limits, reduced-measure
 extraction, measure calculus, and discrete capacities."""
 
-from ._kernels import USING_NUMBA
 from .grids import Grid, GridFunction, LinearOperator, build_grid, integrate, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance, tv_norm
 from .nonlinearities import (
@@ -45,8 +44,10 @@ from .verify import CheckResult, run_all, run_suite
 
 __version__ = "0.1.0"
 
+# recorded with every benchmark run; the kernels are plain numpy/scipy
+USING_NUMBA = False
+
 __all__ = [
-    "USING_NUMBA",
     "Grid",
     "GridFunction",
     "LinearOperator",

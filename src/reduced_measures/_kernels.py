@@ -1,25 +1,7 @@
-"""Low-level kernels for the tridiagonal solver hot path.
+"""Vectorized kernels and the damped-Newton driver.
 
-Two implementations are kept side by side:
-
-* a numba ``@njit`` path (Thomas elimination and a fused damped-Newton
-  loop), used by default when numba imports cleanly, and
-* a numpy/scipy path built on ``scipy.linalg.solve_banded``.
-
-Set ``RMLAB_NO_NUMBA=1`` to force the fallback.  ``benchmarks/bench_kernels.py``
-times both paths on the same problems.
-
-Without numba (not installed, or disabled by the flag) ``njit`` is the
-identity, so the ``*_numba`` kernels still exist and run un-compiled as
-plain Python with the same semantics, overflow saturation included: CPython
-raises ``OverflowError`` where compiled IEEE arithmetic gives ``inf``, so the
-scalar kernels guard every ``exp``/``expm1``/``**`` call explicitly and
-saturate to ``+/-inf`` before the value clamp, the same compiled or not.
-``tests/test_kernels.py`` runs, and must pass, in both configurations.
-
-Nonlinearities are passed to the kernels as a flat numeric descriptor
-``(kind, p, lo, hi, arg_hi)`` rather than a Python callable so the jitted
-loop stays object-free:
+Nonlinearities are evaluated from their numeric parameters
+``(kind, p, lo, hi, arg_hi)``:
 
 * kind 1: ``t -> (t+)^p``        (zero on negatives)
 * kind 2: ``t -> e^t - 1`` for t >= 0, zero on negatives
@@ -27,129 +9,25 @@ loop stays object-free:
 
 ``lo``/``hi`` clamp the value (one family of truncations), ``arg_hi``
 clamps the argument (the other family); either may be +/-inf.
+
+``newton`` is the one semilinear solve loop.  It sees the operator only
+through ``apply`` and ``solve_shifted``, so tridiagonal grids (banded
+solves) and rect2d (sparse LU) run the same iteration.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import sys
-
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 KIND_POWER = 1
 KIND_EXP = 2
 KIND_EXP2 = 3
 
-FORCE_NUMPY = os.environ.get("RMLAB_NO_NUMBA", "").strip() not in ("", "0")
 
-try:  # pragma: no cover - exercised via the env flag in tests
-    if FORCE_NUMPY:
-        raise ImportError("numba disabled by RMLAB_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# scalar nonlinearity, shared source for both paths
-# ---------------------------------------------------------------------------
-
-# exp(t) is finite exactly for t <= log(DBL_MAX) = 709.782712893384
-_LOG_DBL_MAX = math.log(sys.float_info.max)
-
-
-@njit(cache=True, inline="always")
-def _exp_sat(t):
-    return math.inf if t > _LOG_DBL_MAX else math.exp(t)
-
-
-@njit(cache=True, inline="always")
-def _expm1_sat(t):
-    return math.inf if t > _LOG_DBL_MAX else math.expm1(t)
-
-
-@njit(cache=True, inline="always")
-def _pow_sat(t, q):
-    # t**q for t > 0, q >= 0.  Float multiplication saturates without
-    # raising, so within one e-fold of the overflow limit the power is the
-    # square of the half power, which is finite there.
-    y = q * math.log(t)
-    if y < _LOG_DBL_MAX - 1.0:
-        return t**q
-    if y > _LOG_DBL_MAX + 1.0:
-        return math.inf
-    h = t ** (0.5 * q)
-    return h * h
-
-
-@njit(cache=True, inline="always")
-def _g_scalar(kind, p, lo, hi, arg_hi, t):
-    if t > arg_hi:
-        t = arg_hi
-    if kind == KIND_POWER:
-        v = _pow_sat(t, p) if t > 0.0 else 0.0
-    elif kind == KIND_EXP:
-        v = _expm1_sat(t) if t > 0.0 else 0.0
-    else:
-        v = _expm1_sat(t) if t >= 0.0 else -_expm1_sat(-t)
-    if v > hi:
-        v = hi
-    elif v < lo:
-        v = lo
-    return v
-
-
-@njit(cache=True, inline="always")
-def _g_deriv_scalar(kind, p, lo, hi, arg_hi, t):
-    # one-sided derivative from below at the clamp kinks, so the Jacobian
-    # stays bounded and the kink itself keeps the interior slope
-    if t > arg_hi:
-        return 0.0
-    if kind == KIND_POWER:
-        if t <= 0.0:
-            return 0.0
-        v = _pow_sat(t, p)
-        d = p * _pow_sat(t, p - 1.0)
-    elif kind == KIND_EXP:
-        if t <= 0.0:
-            return 0.0
-        v = _expm1_sat(t)
-        d = v + 1.0
-    else:
-        v = _expm1_sat(t) if t >= 0.0 else -_expm1_sat(-t)
-        d = _exp_sat(abs(t))
-    if v > hi or v < lo:
-        return 0.0
-    return d
-
-
-@njit(cache=True)
-def g_eval_numba(kind, p, lo, hi, arg_hi, t, out):
-    for i in range(t.shape[0]):
-        out[i] = _g_scalar(kind, p, lo, hi, arg_hi, t[i])
-
-
-@njit(cache=True)
-def g_deriv_numba(kind, p, lo, hi, arg_hi, t, out):
-    for i in range(t.shape[0]):
-        out[i] = _g_deriv_scalar(kind, p, lo, hi, arg_hi, t[i])
-
-
-def g_eval_numpy(kind, p, lo, hi, arg_hi, t, out):
-    # overflow saturates to inf and is then clipped to the cap, matching
-    # the scalar kernel, so the warning carries no information
+def g_eval(kind, p, lo, hi, arg_hi, t, out):
+    # overflow saturates to inf and is then clipped to the cap, so the
+    # warning carries no information
     with np.errstate(over="ignore"):
         tt = np.minimum(t, arg_hi)
         if kind == KIND_POWER:
@@ -161,7 +39,9 @@ def g_eval_numpy(kind, p, lo, hi, arg_hi, t, out):
         np.clip(v, lo, hi, out=out)
 
 
-def g_deriv_numpy(kind, p, lo, hi, arg_hi, t, out):
+def g_deriv(kind, p, lo, hi, arg_hi, t, out):
+    # zero past the clamps, the interior slope at the kinks themselves,
+    # so the Jacobian stays bounded
     with np.errstate(over="ignore"):
         tt = np.minimum(t, arg_hi)
         if kind == KIND_POWER:
@@ -178,180 +58,59 @@ def g_deriv_numpy(kind, p, lo, hi, arg_hi, t, out):
         out[:] = d
 
 
-# ---------------------------------------------------------------------------
-# tridiagonal solve
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def thomas_solve_numba(dl, d, du, b):
-    n = d.shape[0]
-    c = np.empty(n)
-    x = np.empty(n)
-    beta = d[0]
-    x[0] = b[0] / beta
-    for i in range(1, n):
-        c[i - 1] = du[i - 1] / beta
-        beta = d[i] - dl[i - 1] * c[i - 1]
-        x[i] = (b[i] - dl[i - 1] * x[i - 1]) / beta
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
+def thomas_solve(dl, d, du, b):
+    # LAPACK gtsv, which scipy.linalg.solve_banded calls for one sub- and
+    # one super-diagonal, without its banded-storage copy; it raises as
+    # solve_banded does
+    if d.shape[0] == 1:
+        return b / d
+    if not (np.isfinite(d).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(dl, d, du, b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
     return x
 
 
-def thomas_solve_numpy(dl, d, du, b):
-    n = d.shape[0]
-    if n == 1:
-        return b / d
-    ab = np.zeros((3, n))
-    ab[0, 1:] = du
-    ab[1, :] = d
-    ab[2, :-1] = dl
-    return solve_banded((1, 1), ab, b)
-
-
-@njit(cache=True)
-def tridiag_matvec_numba(dl, d, du, x, out):
-    n = d.shape[0]
-    for i in range(n):
-        v = d[i] * x[i]
-        if i > 0:
-            v += dl[i - 1] * x[i - 1]
-        if i < n - 1:
-            v += du[i] * x[i + 1]
-        out[i] = v
-
-
-def tridiag_matvec_numpy(dl, d, du, x, out):
+def tridiag_matvec(dl, d, du, x, out):
     out[:] = d * x
     out[1:] += dl * x[:-1]
     out[:-1] += du * x[1:]
 
 
-# ---------------------------------------------------------------------------
-# fused damped-Newton loop (the hot path of every reduce run)
-# ---------------------------------------------------------------------------
+def newton(op, g, b, u0, tol, max_iter, max_backtracks):
+    """Damped Newton on F(u) = L u + g(u) - b with the l1 merit
+    sum(|F| vol), halving backtracks, and a Picard step
+    (L + lam) u_new = b + lam u - g(u) when the line search stalls.
 
-
-@njit(cache=True)
-def newton_tridiag_numba(
-    dl, d, du, vol, b, kind, p, lo, hi, arg_hi, u0, tol, max_iter, max_backtracks
-):
-    n = d.shape[0]
-    u = u0.copy()
-    f = np.empty(n)
-    gu = np.empty(n)
-    lu = np.empty(n)
-    trace = np.empty(max_iter)
-
-    tridiag_matvec_numba(dl, d, du, u, lu)
-    res = 0.0
-    for i in range(n):
-        gu[i] = _g_scalar(kind, p, lo, hi, arg_hi, u[i])
-        f[i] = lu[i] + gu[i] - b[i]
-        res += abs(f[i]) * vol[i]
-
-    it = 0
-    stalls = 0
-    while it < max_iter and res > tol:
-        jl = np.empty(n - 1) if n > 1 else np.empty(0)
-        jd = np.empty(n)
-        ju = np.empty(n - 1) if n > 1 else np.empty(0)
-        for i in range(n):
-            jd[i] = d[i] + _g_deriv_scalar(kind, p, lo, hi, arg_hi, u[i])
-        for i in range(n - 1):
-            jl[i] = dl[i]
-            ju[i] = du[i]
-        step = thomas_solve_numba(jl, jd, ju, -f)
-
-        s = 1.0
-        improved = False
-        new_res = res
-        u_try = np.empty(n)
-        for _bt in range(max_backtracks):
-            new_res = 0.0
-            for i in range(n):
-                u_try[i] = u[i] + s * step[i]
-            tridiag_matvec_numba(dl, d, du, u_try, lu)
-            for i in range(n):
-                gu[i] = _g_scalar(kind, p, lo, hi, arg_hi, u_try[i])
-                f[i] = lu[i] + gu[i] - b[i]
-                new_res += abs(f[i]) * vol[i]
-            if new_res < res:
-                improved = True
-                break
-            s *= 0.5
-        if improved:
-            u[:] = u_try
-            res = new_res
-            stalls = 0
-        else:
-            stalls += 1
-            # Picard fallback: (L + lam I) u_new = b + lam u - g(u)
-            lam = 0.0
-            for i in range(n):
-                dv = _g_deriv_scalar(kind, p, lo, hi, arg_hi, u[i])
-                if dv > lam:
-                    lam = dv
-            lam = lam + 1.0
-            rhs = np.empty(n)
-            for i in range(n):
-                gu[i] = _g_scalar(kind, p, lo, hi, arg_hi, u[i])
-                rhs[i] = b[i] + lam * u[i] - gu[i]
-            jd = d + lam
-            u = thomas_solve_numba(dl, jd, du, rhs)
-            tridiag_matvec_numba(dl, d, du, u, lu)
-            res = 0.0
-            for i in range(n):
-                gu[i] = _g_scalar(kind, p, lo, hi, arg_hi, u[i])
-                f[i] = lu[i] + gu[i] - b[i]
-                res += abs(f[i]) * vol[i]
-            if stalls > 5:
-                break
-        trace[it] = res
-        it += 1
-
-    return u, res <= tol, it, res, trace[:it]
-
-
-def newton_tridiag_numpy(
-    dl, d, du, vol, b, kind, p, lo, hi, arg_hi, u0, tol, max_iter, max_backtracks
-):
-    n = d.shape[0]
-    u = u0.copy()
-    gu = np.empty(n)
-    gd = np.empty(n)
-    lu = np.empty(n)
-    trace = []
+    Returns ``(u, converged, iterations, residual, residual_trace)``."""
+    vols = op.grid.cell_volumes
 
     def residual(v):
-        tridiag_matvec_numpy(dl, d, du, v, lu)
-        g_eval_numpy(kind, p, lo, hi, arg_hi, v, gu)
-        f = lu + gu - b
-        return f, float(np.sum(np.abs(f) * vol))
+        f = op.apply(v) + g(v) - b
+        return f, float(np.sum(np.abs(f) * vols))
 
+    u = u0.copy()
     f, res = residual(u)
+    trace = []
     it = 0
     stalls = 0
     while it < max_iter and res > tol:
-        g_deriv_numpy(kind, p, lo, hi, arg_hi, u, gd)
-        step = thomas_solve_numpy(dl, d + gd, du, -f)
+        step = op.solve_shifted(g.deriv(u), -f)
         s = 1.0
         improved = False
         for _bt in range(max_backtracks):
-            f_try, res_try = residual(u + s * step)
+            u_try = u + s * step
+            f_try, res_try = residual(u_try)
             if res_try < res:
-                u = u + s * step
-                f, res = f_try, res_try
+                u, f, res = u_try, f_try, res_try
                 improved = True
                 break
             s *= 0.5
         if not improved:
             stalls += 1
-            g_eval_numpy(kind, p, lo, hi, arg_hi, u, gu)
-            g_deriv_numpy(kind, p, lo, hi, arg_hi, u, gd)
-            lam = float(np.max(gd)) + 1.0
-            u = thomas_solve_numpy(dl, d + lam, du, b + lam * u - gu)
+            lam = float(np.max(g.deriv(u))) + 1.0
+            u = op.solve_shifted(np.full(u.shape, lam), b + lam * u - g(u))
             f, res = residual(u)
             if stalls > 5:
                 break
@@ -362,17 +121,5 @@ def newton_tridiag_numpy(
     return u, res <= tol, it, res, np.asarray(trace)
 
 
-if HAS_NUMBA:
-    USING_NUMBA = True
-    g_eval = g_eval_numba
-    g_deriv = g_deriv_numba
-    thomas_solve = thomas_solve_numba
-    tridiag_matvec = tridiag_matvec_numba
-    newton_tridiag = newton_tridiag_numba
-else:
-    USING_NUMBA = False
-    g_eval = g_eval_numpy
-    g_deriv = g_deriv_numpy
-    thomas_solve = thomas_solve_numpy
-    tridiag_matvec = tridiag_matvec_numpy
-    newton_tridiag = newton_tridiag_numpy
+# perfbench/tracing.py wraps the solve loop under this name
+newton_tridiag = newton

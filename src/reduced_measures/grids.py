@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy import ndimage
 
 from . import _kernels
 
@@ -131,18 +130,6 @@ class Grid:
             return np.linalg.norm(self.nodes - self.nodes[node], axis=1)
         return np.abs(self.nodes - self.nodes[node])
 
-    def dilate(self, mask: np.ndarray, cells: int) -> np.ndarray:
-        """Grow a node set by ``cells`` layers of face neighbors."""
-        if cells <= 0 or not mask.any():
-            return mask.copy()
-        if self.kind == "rect2d":
-            nx, ny = self.shape2d
-            out = ndimage.binary_dilation(
-                mask.reshape(ny, nx), iterations=cells
-            ).reshape(-1)
-            return out
-        return ndimage.binary_dilation(mask, iterations=cells)
-
     def interior_mask(self, margin: float) -> np.ndarray:
         """Nodes at distance greater than ``margin`` from the boundary."""
         if self.kind == "interval1d":
@@ -241,6 +228,8 @@ class LinearOperator:
     du: Optional[np.ndarray]
     _csr: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _lu: object = field(default=None, repr=False)
+    _csc: Optional[sp.csc_matrix] = field(default=None, repr=False)
+    _csc_diag: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def is_tridiagonal(self) -> bool:
@@ -273,8 +262,15 @@ class LinearOperator:
         """Solve (L + diag(shift)) x = rhs; shift >= 0 keeps the M-matrix."""
         if self.is_tridiagonal:
             return _kernels.thomas_solve(self.dl, self.d + shift, self.du, rhs)
-        mat = self.matrix + sp.diags(shift)
-        return spla.splu(mat.tocsc()).solve(rhs)
+        if self._csc is None:
+            # every diagonal entry of L is stored, so L + diag(shift) has
+            # the pattern of L and differs from it on the diagonal only
+            csc = self.matrix.tocsc()
+            cols = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
+            self._csc, self._csc_diag = csc, np.flatnonzero(csc.indices == cols)
+        mat = self._csc.copy()
+        mat.data[self._csc_diag] += shift
+        return spla.splu(mat).solve(rhs)
 
 
 def negative_laplacian(grid: Grid) -> LinearOperator:

@@ -179,15 +179,11 @@ class DiscreteMeasure:
 
     # --- mollification --------------------------------------------------------
 
-    def mollify(self, level: int) -> "DiscreteMeasure":
-        """Replace atoms (and smooth the density) with the triangular bump
-        (1 - |x|/r)+ at radius r = 1/level.  Mass is redistributed cellwise
-        (each source cell's mass is spread with a discretely normalized
-        kernel), so the total mass is conserved exactly."""
-        radius = 1.0 / float(level)
-        return self.mollify_radius(radius)
-
     def mollify_radius(self, radius: float) -> "DiscreteMeasure":
+        """Replace atoms (and smooth the density) with the triangular bump
+        (1 - |x|/r)+ at radius r.  Mass is redistributed cellwise (each
+        source cell's mass is spread with a discretely normalized kernel),
+        so the total mass is conserved exactly."""
         grid = self.grid
         if radius < 2.0 * grid.h:
             raise ValueError(

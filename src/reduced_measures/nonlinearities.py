@@ -19,8 +19,8 @@ from ._kernels import (
     KIND_EXP,
     KIND_EXP2,
     KIND_POWER,
-    g_deriv_numpy,
-    g_eval_numpy,
+    g_deriv,
+    g_eval,
 )
 
 _NAMES = {KIND_POWER: "power", KIND_EXP: "exp", KIND_EXP2: "exp2sided"}
@@ -45,18 +45,14 @@ class Nonlinearity:
     def __call__(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
-        g_eval_numpy(self.kind, self.p, self.lo, self.hi, self.arg_hi, t, out)
+        g_eval(self.kind, self.p, self.lo, self.hi, self.arg_hi, t, out)
         return out if out.shape != (1,) else float(out[0])
 
     def deriv(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
-        g_deriv_numpy(self.kind, self.p, self.lo, self.hi, self.arg_hi, t, out)
+        g_deriv(self.kind, self.p, self.lo, self.hi, self.arg_hi, t, out)
         return out if out.shape != (1,) else float(out[0])
-
-    def descriptor(self) -> tuple[int, float, float, float, float]:
-        """Flat numeric form consumed by the jitted solver kernels."""
-        return (self.kind, self.p, self.lo, self.hi, self.arg_hi)
 
     # --- structure flags ---------------------------------------------------
 

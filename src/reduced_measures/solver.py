@@ -1,10 +1,11 @@
 """Linear and semilinear solves against measure data.
 
-The semilinear solver is a damped Newton iteration on
-F(u) = L u + g(u) - b with an l1 (cell-volume weighted) merit function,
-backtracking line search, and a Picard fallback step when the line
-search stalls.  Tridiagonal grids go through the fused kernel in
-``_kernels``; rect2d refactorizes the sparse Jacobian each step.
+The semilinear solver is the damped Newton iteration of
+``_kernels.newton`` on F(u) = L u + g(u) - b with an l1 (cell-volume
+weighted) merit function, backtracking line search, and a Picard
+fallback step when the line search stalls.  Each step solves with the
+shifted operator L + diag(s): banded elimination on tridiagonal grids,
+a fresh sparse LU on rect2d.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels
 from .grids import Grid, GridFunction, LinearOperator
@@ -57,45 +56,6 @@ def solve_linear(op: LinearOperator, mu: DiscreteMeasure) -> SolveReport:
     )
 
 
-def _newton_sparse(op, g, b, u0, tol, max_iter, max_backtracks):
-    vols = op.grid.cell_volumes
-    mat = op.matrix.tocsc()
-    u = u0.copy()
-
-    def residual(v):
-        f = op.apply(v) + g(v) - b
-        return f, float(np.sum(np.abs(f) * vols))
-
-    f, res = residual(u)
-    trace = []
-    it = 0
-    stalls = 0
-    while it < max_iter and res > tol:
-        jac = mat + sp.diags(g.deriv(u)).tocsc()
-        step = spla.splu(jac).solve(-f)
-        s, improved = 1.0, False
-        for _ in range(max_backtracks):
-            f_try, res_try = residual(u + s * step)
-            if res_try < res:
-                u, f, res = u + s * step, f_try, res_try
-                improved = True
-                break
-            s *= 0.5
-        if not improved:
-            stalls += 1
-            lam = float(np.max(g.deriv(u))) + 1.0
-            shifted = (mat + sp.diags(np.full(u.shape, lam))).tocsc()
-            u = spla.splu(shifted).solve(b + lam * u - g(u))
-            f, res = residual(u)
-            if stalls > 5:
-                break
-        else:
-            stalls = 0
-        trace.append(res)
-        it += 1
-    return u, res <= tol, it, res, np.asarray(trace)
-
-
 def solve_semilinear(
     op: LinearOperator,
     g: Nonlinearity,
@@ -103,7 +63,6 @@ def solve_semilinear(
     u0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
-    max_backtracks: int = MAX_BACKTRACKS,
 ) -> SolveReport:
     grid = op.grid
     b = assemble_rhs(grid, mu)
@@ -112,28 +71,9 @@ def solve_semilinear(
     u0 = np.asarray(u0, dtype=float)
     # the residual is an L1 mass, so judge it relative to the datum mass
     tol = tol * max(1.0, float(np.sum(np.abs(b) * grid.cell_volumes)))
-    if op.is_tridiagonal:
-        kind, p, lo, hi, arg_hi = g.descriptor()
-        u, conv, it, res, trace = _kernels.newton_tridiag(
-            op.dl,
-            op.d,
-            op.du,
-            grid.cell_volumes,
-            b,
-            kind,
-            p,
-            lo,
-            hi,
-            arg_hi,
-            u0,
-            tol,
-            max_iter,
-            max_backtracks,
-        )
-    else:
-        u, conv, it, res, trace = _newton_sparse(
-            op, g, b, u0, tol, max_iter, max_backtracks
-        )
+    u, conv, it, res, trace = _kernels.newton(
+        op, g, b, u0, tol, max_iter, MAX_BACKTRACKS
+    )
     if not conv and len(trace) >= 10 and res <= 100.0 * tol:
         # on fine meshes the residual bottoms out at the roundoff floor
         # of the direct solve; a flat tail just above tol is convergence

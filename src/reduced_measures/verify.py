@@ -260,7 +260,7 @@ def check_monotone_scheme() -> CheckResult:
         if gap > 5.0 * seq_tol:
             passed = False
         details[f"{tag}_family_gap"] = gap
-    details["family_gap_bound"] = 5.0 * 1e-7 * math.pi
+        details[f"{tag}_family_gap_bound"] = 5.0 * seq_tol
     return CheckResult("monotone-scheme", passed, details)
 
 

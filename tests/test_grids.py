@@ -78,6 +78,21 @@ def test_operator_is_an_m_matrix_and_apply_matches_matrix():
     assert np.allclose(op.apply(x), mat @ x)
 
 
+def test_shifted_solve_matches_dense_reference():
+    rng = np.random.default_rng(3)
+    for g in (
+        build_grid("interval1d", 2.0**-5, length=1.0),
+        build_grid("radialN", 2.0**-5, dim=3, radius=1.0),
+        build_grid("rect2d", 2.0**-3, extents=(1.0, 0.5)),
+    ):
+        op = negative_laplacian(g)
+        dense = op.matrix.toarray()
+        for shift in (rng.uniform(0.0, 50.0, g.n_nodes), np.zeros(g.n_nodes)):
+            rhs = rng.normal(size=g.n_nodes)
+            expect = np.linalg.solve(dense + np.diag(shift), rhs)
+            assert np.allclose(op.solve_shifted(shift, rhs), expect, rtol=1e-10, atol=1e-12)
+
+
 def test_interval_green_function_is_exact_at_nodes():
     # -u'' = delta_s on (0,1) with zero boundary values has the tent
     # u(x) = x (1-s) below s; the three-point scheme reproduces it exactly

@@ -1,26 +1,10 @@
-"""Parity between the compiled kernels and their vectorized fallbacks.
-
-Every kernel ships in two versions selected at import time by the
-RMLAB_NO_NUMBA environment flag; these tests run both versions directly
-and require matching answers, and one subprocess check asserts the flag
-actually switches the implementation.
-"""
-
-import os
-import subprocess
-import sys
+"""The vectorized kernels against dense references and at overflow."""
 
 import numpy as np
+import pytest
 
 from reduced_measures import _kernels as K
-from reduced_measures.grids import build_grid, negative_laplacian
-from reduced_measures.measures import DiscreteMeasure
-from reduced_measures.nonlinearities import (
-    make_exponential,
-    make_power,
-    make_two_sided_exponential,
-)
-from reduced_measures.solver import assemble_rhs
+from reduced_measures.nonlinearities import make_power, make_two_sided_exponential
 
 RNG = np.random.default_rng(7)
 
@@ -44,108 +28,35 @@ def test_tridiagonal_solve_matches_dense_reference():
     for n in (3, 17, 200):
         dl, d, du, b = _random_system(n)
         expect = np.linalg.solve(_dense(dl, d, du), b)
-        xa = K.thomas_solve_numba(dl.copy(), d.copy(), du.copy(), b.copy())
-        xb = K.thomas_solve_numpy(dl.copy(), d.copy(), du.copy(), b.copy())
-        assert np.allclose(xa, expect, atol=1e-10)
-        assert np.allclose(xb, expect, atol=1e-10)
+        x = K.thomas_solve(dl.copy(), d.copy(), du.copy(), b.copy())
+        assert np.allclose(x, expect, atol=1e-10)
+    d[1] = np.inf  # an overflowed Jacobian entry is an error, not a result
+    with pytest.raises(ValueError):
+        K.thomas_solve(dl, d, du, b)
 
 
-def test_tridiagonal_matvec_versions_agree():
+def test_tridiagonal_matvec_matches_dense_reference():
     dl, d, du, _ = _random_system(50)
     x = RNG.normal(size=50)
-    out_a = np.empty(50)
-    out_b = np.empty(50)
-    K.tridiag_matvec_numba(dl, d, du, x, out_a)
-    K.tridiag_matvec_numpy(dl, d, du, x, out_b)
-    expect = _dense(dl, d, du) @ x
-    assert np.allclose(out_a, expect, atol=1e-12)
-    assert np.allclose(out_b, expect, atol=1e-12)
+    out = np.empty(50)
+    K.tridiag_matvec(dl, d, du, x, out)
+    assert np.allclose(out, _dense(dl, d, du) @ x, atol=1e-12)
 
 
-def test_absorption_kernels_agree_on_all_families():
-    t = np.concatenate([np.linspace(-30, 30, 301), [1e9, -1e9]])
-    cases = [
-        make_power(2.0).descriptor(),
-        make_power(6.0).truncate(100.0).descriptor(),
-        make_exponential().truncate(64.0).descriptor(),
-        make_exponential().truncate(3.0, family="argument").descriptor(),
-    ]
-    for kind, p, lo, hi, arg_hi in cases:
-        va = np.empty_like(t)
-        vb = np.empty_like(t)
-        K.g_eval_numba(kind, p, lo, hi, arg_hi, t, va)
-        K.g_eval_numpy(kind, p, lo, hi, arg_hi, t, vb)
-        assert np.max(np.abs(va - vb)) <= 1e-12
-
-        da = np.empty_like(t)
-        db = np.empty_like(t)
-        K.g_deriv_numba(kind, p, lo, hi, arg_hi, t, da)
-        K.g_deriv_numpy(kind, p, lo, hi, arg_hi, t, db)
-        assert np.max(np.abs(da - db)) <= 1e-12
-
-
-def test_scalar_kernels_saturate_on_overflow_like_the_numpy_path():
-    # t**40 and e^|t| overflow at |t| = 1e9; compiled or not, the scalar
-    # kernels must saturate to +/-inf and clip to the cap, not raise.
-    # Un-compiled, t[i] is a numpy scalar whose ** would overflow with only
-    # a warning; raising on it checks that the guard, not luck, saturates.
+def test_absorption_kernels_saturate_on_overflow():
+    # t**40 and e^|t| overflow at |t| = 1e9; the kernels must saturate and
+    # clip to the cap (derivative 0 past it), not raise
     t = np.array([1e9, -1e9])
     cases = [
-        make_power(40.0).truncate(100.0).descriptor(),
-        make_two_sided_exponential().truncate(50.0).descriptor(),
+        (make_power(40.0).truncate(100.0), [100.0, 0.0]),
+        (make_two_sided_exponential().truncate(50.0), [50.0, -50.0]),
     ]
-    for kind, p, lo, hi, arg_hi in cases:
-        va = np.empty_like(t)
-        vb = np.empty_like(t)
+    for g, capped in cases:
+        args = (g.kind, g.p, g.lo, g.hi, g.arg_hi, t)
+        value = np.empty_like(t)
+        slope = np.empty_like(t)
         with np.errstate(over="raise"):
-            K.g_eval_numba(kind, p, lo, hi, arg_hi, t, va)
-        K.g_eval_numpy(kind, p, lo, hi, arg_hi, t, vb)
-        assert np.array_equal(va, vb)
-        assert np.all(np.isfinite(va))
-
-        da = np.empty_like(t)
-        db = np.empty_like(t)
-        with np.errstate(over="raise"):
-            K.g_deriv_numba(kind, p, lo, hi, arg_hi, t, da)
-        K.g_deriv_numpy(kind, p, lo, hi, arg_hi, t, db)
-        assert np.array_equal(da, db)
-
-
-def _newton_inputs():
-    grid = build_grid("radialN", 2.0**-7, dim=2, radius=1.0)
-    op = negative_laplacian(grid)
-    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 4.0)])
-    b = assemble_rhs(grid, mu)
-    g = make_exponential().truncate(32.0)
-    kind, p, lo, hi, arg_hi = g.descriptor()
-    u0 = op.solve(b)
-    return op, grid, b, (kind, p, lo, hi, arg_hi), u0
-
-
-def test_newton_kernels_produce_the_same_solution():
-    op, grid, b, desc, u0 = _newton_inputs()
-    kind, p, lo, hi, arg_hi = desc
-    args = (op.dl, op.d, op.du, grid.cell_volumes, b, kind, p, lo, hi, arg_hi)
-    ua, ca, ia, ra, _ = K.newton_tridiag_numba(*args, u0.copy(), 1e-10, 200, 30)
-    ub, cb, ib, rb, _ = K.newton_tridiag_numpy(*args, u0.copy(), 1e-10, 200, 30)
-    assert ca and cb
-    assert np.max(np.abs(ua - ub)) <= 1e-8
-    assert ra <= 1e-10 and rb <= 1e-10
-
-
-def test_disable_flag_switches_to_the_fallback_path():
-    code = (
-        "import reduced_measures._kernels as K;"
-        "import numpy as np;"
-        "print(K.USING_NUMBA);"
-        "print(repr(float(K.thomas_solve(np.array([-1.]),np.array([2.,2.]),"
-        "np.array([-1.]),np.array([1.,1.]))[0])))"
-    )
-    env = dict(os.environ, RMLAB_NO_NUMBA="1")
-    probe = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert probe.returncode == 0, probe.stderr
-    flag, value = probe.stdout.split()
-    assert flag == "False"
-    assert float(value) == 1.0  # solves the 2x2 system exactly
+            K.g_eval(*args, value)
+            K.g_deriv(*args, slope)
+        assert np.array_equal(value, capped)
+        assert np.array_equal(slope, [0.0, 0.0])

@@ -108,11 +108,11 @@ def test_descriptor_matches_the_callable():
         make_two_sided_exponential(),
         make_two_sided_exponential().truncate(4.0),
     ):
-        kind, p, lo, hi, arg_hi = g.descriptor()
         direct = np.array([g(float(t)) for t in SAMPLE])
         out = np.empty_like(SAMPLE)
-        kernels.g_eval_numpy(kind, p, lo, hi, arg_hi, SAMPLE, out)
+        kernels.g_eval(g.kind, g.p, g.lo, g.hi, g.arg_hi, SAMPLE, out)
         assert np.max(np.abs(direct - out)) <= 1e-14
+        assert np.max(np.abs(direct - g(SAMPLE))) <= 1e-14
 
 
 def test_derivative_matches_finite_differences():
