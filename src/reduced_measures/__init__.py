@@ -3,7 +3,7 @@ measure data: truncation and mollification limits, reduced-measure
 extraction, measure calculus, and discrete capacities."""
 
 from .grids import Grid, GridFunction, LinearOperator, build_grid, integrate, negative_laplacian
-from .measures import DiscreteMeasure, tv_distance, tv_norm
+from .measures import DiscreteMeasure, tv_distance
 from .nonlinearities import (
     Nonlinearity,
     make_exponential,
@@ -27,7 +27,6 @@ from .reduction import (
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
-    split_residual,
     truncation_schedule,
     weak_l1_stability_experiment,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "integrate",
     "negative_laplacian",
     "DiscreteMeasure",
-    "tv_norm",
     "tv_distance",
     "Nonlinearity",
     "make_power",
@@ -73,7 +71,6 @@ __all__ = [
     "reduce_by_truncation",
     "reduce_by_mollification",
     "reduce_signed",
-    "split_residual",
     "goodness_test",
     "oracle_reduced",
     "calculus_check",

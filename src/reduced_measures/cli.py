@@ -7,7 +7,7 @@ Subcommands
     verify    run a named invariant suite (or all of them)
     sweep     rerun the reduction across a parameter ladder, one CSV row each
 
-Artifacts are plain CSV and JSON.  With a fixed config and seed the data
+Artifacts are plain CSV and JSON.  With a fixed config the data
 artifacts are byte-identical across runs; wall-clock timings are kept out
 of them (sweeps write a separate ``timings.csv`` sidecar).
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import verify as verify_mod
-from .config import ConfigError, ExperimentConfig, grid_from_spec
+from .config import ConfigError, ExperimentConfig, grid_from_spec, read_config
 from .grids import Grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .reduction import (
@@ -151,7 +151,6 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
             "gmass": g_mass(grid, g, report.u.values),
             "mu_tv": float(mu.tv_norm()),
             "u_l1": float(np.sum(np.abs(report.u.values) * grid.cell_volumes)),
-            "seed": cfg.seed,
         },
     )
     return EXIT_OK if report.converged else EXIT_SOLVER
@@ -199,7 +198,6 @@ def run_reduce(cfg: ExperimentConfig, out_dir: str) -> int:
             np.sum(np.abs(result.u_star.values) * grid.cell_volumes)
         ),
         "gmass": g_mass(grid, g, result.u_star.values),
-        "seed": cfg.seed,
     }
     for key in ("exact", "direct_vs_combined_l1", "direct_vs_combined_tv"):
         if key in result.diagnostics:
@@ -238,7 +236,13 @@ def run_capacity(raw: dict, out_dir: str) -> int:
     sets = raw.get("sets")
     if not sets:
         raise ConfigError("capacity config needs a non-empty 'sets' list")
-    delta = float(raw.get("delta", 0.02))
+    delta = raw.get("delta", 0.02)
+    if not (
+        isinstance(delta, (int, float))
+        and not isinstance(delta, bool)
+        and 0.0 < delta < 1.0
+    ):
+        raise ConfigError(f"capacity delta must be a number in (0, 1), got {delta!r}")
     op = negative_laplacian(grid)
 
     rows = []
@@ -317,11 +321,10 @@ def _sweep_cell(base: dict, parameter: str, value: float) -> tuple[list, float]:
     try:
         raw = _apply_sweep_value(base, parameter, value)
         cfg = ExperimentConfig.from_dict(raw)
-        grid, g, _, result = _run_reduction(cfg)
+        grid, g, mu, result = _run_reduction(cfg)
         weights = ";".join(
             repr(float(w)) for _, w in sorted(result.mu_star.atoms)
         )
-        mu = cfg.build_measure(grid)
         row = [
             parameter,
             value,
@@ -372,14 +375,6 @@ def run_sweep(raw: dict, out_dir: str, threads: int) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _load_raw_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmlab",
@@ -388,18 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument(
-            "--config", required=config_required, help="JSON config path"
-        )
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker pool size (sweep)"
-        )
-
     for name in ("solve", "reduce", "capacity", "sweep"):
-        add_common(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", default=None, help="output directory")
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     verify_parser = sub.add_parser("verify")
     verify_parser.add_argument(
@@ -408,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="invariant suite to run",
     )
     verify_parser.add_argument("--out", default=None)
-    verify_parser.add_argument("--seed", type=int, default=None)
-    verify_parser.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -429,16 +416,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(args.suite, _resolve_out_dir(args))
         if args.command == "capacity":
-            return run_capacity(_load_raw_config(args.config), _resolve_out_dir(args))
+            return run_capacity(read_config(args.config), _resolve_out_dir(args))
         if args.command == "sweep":
             return run_sweep(
-                _load_raw_config(args.config),
+                read_config(args.config),
                 _resolve_out_dir(args),
                 max(1, args.threads),
             )
         cfg = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
         out_dir = _resolve_out_dir(args, cfg)
         if args.command == "solve":
             return run_solve(cfg, out_dir)

@@ -2,15 +2,14 @@
 
 A config is a plain dict (usually loaded from a JSON file) with the
 sections ``grid``, ``nonlinearity``, ``measure`` and optional
-``schedule``, ``tolerances``, ``seed``.  Tolerances can be overridden
-per-run through ``RMLAB_<NAME>`` environment variables.
+``schedule``, ``scheme``, ``tolerances``.  Top-level keys that nothing
+reads are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,18 +18,32 @@ from . import nonlinearities
 from .grids import Grid, build_grid
 from .measures import DiscreteMeasure
 
-ENV_PREFIX = "RMLAB_"
-
 _TOLERANCE_DEFAULTS = {
     "tol": 1e-9,       # solver residual, relative to datum mass
     "seq_tol": None,   # scheme step tolerance; None = 1e-7 * |domain|
-    "good_tol": 1e-6,  # defect size below which a datum counts as good
-    "slack": 0.05,     # relative slack for structural estimates
 }
 
 
 class ConfigError(ValueError):
     """Raised for malformed configs; the CLI maps it to exit code 2."""
+
+
+def read_config(path: str):
+    """Parse a JSON config file, mapping unreadable files to ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _is_positive_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 def _require(cfg: dict, key: str, section: str):
@@ -66,7 +79,6 @@ class ExperimentConfig:
     schedule: list[float] | None = None
     scheme: str = "truncation"
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
     out_dir: str = "."
 
     @classmethod
@@ -80,26 +92,34 @@ class ExperimentConfig:
             schedule=raw.get("schedule"),
             scheme=raw.get("scheme", "truncation"),
             tolerances=dict(raw.get("tolerances", {})),
-            seed=int(raw.get("seed", 0)),
             out_dir=raw.get("out_dir", "."),
         )
         if cfg.scheme not in ("truncation", "mollification", "signed"):
             raise ConfigError(f"unknown scheme {cfg.scheme!r}")
+        if cfg.schedule is not None and not (
+            isinstance(cfg.schedule, list)
+            and cfg.schedule
+            and all(_is_positive_number(v) for v in cfg.schedule)
+        ):
+            raise ConfigError(
+                "schedule must be a non-empty list of positive finite numbers, "
+                f"got {cfg.schedule!r}"
+            )
         unknown = set(cfg.tolerances) - set(_TOLERANCE_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
         cfg.build_grid()  # validate eagerly so errors surface as exit 2
-        cfg.build_nonlinearity()
+        g = cfg.build_nonlinearity()
+        if cfg.scheme == "mollification" and not g.convex:
+            raise ConfigError(
+                "the mollification scheme needs a convex nonlinearity, "
+                f"got {g.name!r}"
+            )
         return cfg
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     # --- builders -----------------------------------------------------------
 
@@ -152,17 +172,5 @@ class ExperimentConfig:
             raise ConfigError(f"measure: {exc}") from exc
 
     def resolve_tolerances(self) -> dict:
-        """Defaults, overlaid by the config, overlaid by RMLAB_* env vars."""
-        out = dict(_TOLERANCE_DEFAULTS)
-        out.update(self.tolerances)
-        for name in _TOLERANCE_DEFAULTS:
-            env = os.environ.get(ENV_PREFIX + name.upper())
-            if env is not None:
-                try:
-                    out[name] = float(env)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"environment override {ENV_PREFIX + name.upper()}={env!r} "
-                        "is not a number"
-                    ) from exc
-        return out
+        """Defaults, overlaid by the config's ``tolerances`` section."""
+        return {**_TOLERANCE_DEFAULTS, **self.tolerances}

@@ -152,9 +152,6 @@ class GridFunction:
         if self.values.shape != (self.grid.n_nodes,):
             raise ValueError("values must have one entry per interior node")
 
-    def l1(self) -> float:
-        return float(np.sum(np.abs(self.values) * self.grid.cell_volumes))
-
 
 def integrate(f: GridFunction) -> float:
     """Cell-volume weighted integral over the domain."""

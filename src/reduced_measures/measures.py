@@ -215,9 +215,5 @@ class DiscreteMeasure:
         return DiscreteMeasure(grid, out)
 
 
-def tv_norm(mu: DiscreteMeasure) -> float:
-    return mu.tv_norm()
-
-
 def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return (mu - nu).tv_norm()

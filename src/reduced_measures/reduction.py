@@ -341,30 +341,21 @@ def _extract_atoms(
     return DiscreteMeasure(grid, mu.density, atoms), info
 
 
-def split_residual(
-    grid: Grid,
+def _limit(
+    op,
     g: Nonlinearity,
     mu: DiscreteMeasure,
-    u_star: np.ndarray | GridFunction,
-    op=None,
-    exact: bool = False,
-) -> DiscreteMeasure:
-    """Split the limiting state into the reduced measure.
-
-    The density part of the datum always survives reduction at this
-    resolution, so it passes through unchanged; the atoms are re-read
-    from the out-flux profile of the saturated state around each atom
-    node.  ``exact`` short-circuits the measurement when the scheme
-    converged with an inactive cap, in which case the datum itself is
-    reproduced.
-    """
-    if exact or not mu.atoms:
-        return mu
-    values = u_star.values if isinstance(u_star, GridFunction) else np.asarray(u_star)
-    if op is None:
-        op = negative_laplacian(grid)
-    mu_star, _ = _extract_atoms(op, g, mu, values)
-    return mu_star
+    u: np.ndarray,
+    warm: np.ndarray,
+) -> tuple[DiscreteMeasure, dict, np.ndarray]:
+    """The limit step shared by every scheme: continue from the state
+    ``u`` to the saturated solution for ``mu``, read the reduced measure
+    off its flux profiles, and return it with the extraction info and
+    the solution it generates.  ``warm`` starts the extractor's
+    reference solve."""
+    u_sat = _saturate(op, g, mu, u0=u)
+    mu_star, info = _extract_atoms(op, g, mu, u_sat, warm=warm)
+    return mu_star, info, _saturate(op, g, mu_star, u0=u)
 
 
 def reduce_by_truncation(
@@ -408,10 +399,7 @@ def reduce_by_truncation(
         mu_star = mu
         u_limit = u
     else:
-        u_sat = _saturate(op, g, mu, u0=u)
-        mu_star, info = _extract_atoms(op, g, mu, u_sat, warm=u)
-        diagnostics["extraction"] = info
-        u_limit = _saturate(op, g, mu_star, u0=u)
+        mu_star, diagnostics["extraction"], u_limit = _limit(op, g, mu, u, warm=u)
 
     return ReducedResult(
         u_star=GridFunction(grid, u_limit),
@@ -496,10 +484,9 @@ def reduce_by_mollification(
             converged = True
             u_limit = u_cls
         else:
-            u_meas = _saturate(op, g, mu, u0=u_cls)
-            mu_star, info = _extract_atoms(op, g, mu, u_meas, warm=u)
-            diagnostics["extraction"] = info
-            u_limit = _saturate(op, g, mu_star, u0=u_cls)
+            mu_star, diagnostics["extraction"], u_limit = _limit(
+                op, g, mu, u_cls, warm=u
+            )
 
     return ReducedResult(
         u_star=GridFunction(grid, u_limit),
@@ -545,38 +532,28 @@ def reduce_signed(
     mu_star = res_pos.mu_star - res_neg.mu_star
 
     # direct two-sided route on the signed datum
-    if schedule is None:
-        schedule = truncation_schedule()
-    u_direct, direct_levels, direct_converged, direct_exact = _run_levels(
-        op, g, mu, schedule, seq_tol
-    )
-    if direct_exact:
-        mu_direct = mu
-        u_direct_limit = u_direct
-    else:
-        u_direct_limit = _saturate(op, g, mu, u0=u_direct)
-        mu_direct, _ = _extract_atoms(op, g, mu, u_direct_limit, warm=u_direct)
+    res_dir = reduce_by_truncation(grid, g, mu, schedule, seq_tol=seq_tol, op=op)
 
     # Each route's limit is realised as the solution generated by its
     # reduced measure; the gap between those two solutions is the
     # consistency diagnostic.  (The pre-limit saturated state is not used
     # directly: it still carries the slow core erosion of this mesh.)
-    u_combined = _saturate(op, g, mu_star, u0=u_direct)
-    u_from_direct = _saturate(op, g, mu_direct, u0=u_combined)
+    u_from_direct = res_dir.u_star.values
+    u_combined = _saturate(op, g, mu_star, u0=u_from_direct)
     vols = grid.cell_volumes
     gap_u = float(np.sum(np.abs(u_from_direct - u_combined) * vols))
 
     return ReducedResult(
         u_star=GridFunction(grid, u_combined),
         mu_star=mu_star,
-        levels=direct_levels,
+        levels=res_dir.levels,
         scheme="signed-split",
         converged=res_pos.converged and res_neg.converged,
         diagnostics={
             "direct_vs_combined_l1": gap_u,
-            "direct_vs_combined_tv": tv_distance(mu_direct, mu_star),
-            "direct_mu_star": mu_direct,
-            "direct_converged": direct_converged,
+            "direct_vs_combined_tv": tv_distance(res_dir.mu_star, mu_star),
+            "direct_mu_star": res_dir.mu_star,
+            "direct_converged": res_dir.converged,
             "positive_part": res_pos.diagnostics,
             "negative_part": res_neg.diagnostics,
         },

@@ -89,6 +89,27 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
 
     assert cli.main(["reduce", "--config", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 
+    reduce_base = {
+        "grid": DISK,
+        "nonlinearity": {"kind": "exp"},
+        "measure": {"atoms": [{"at": 0.0, "weight": 2.0}]},
+    }
+    capacity_base = {
+        "grid": DISK,
+        "sets": [{"kind": "point", "at": 0.0}],
+    }
+    for command, payload in (
+        ("reduce", {**reduce_base, "scheme": "mollification",
+                    "nonlinearity": {"kind": "exp2sided"}}),
+        ("reduce", {**reduce_base, "schedule": [0.0, 1.0]}),
+        ("reduce", {**reduce_base, "schedule": "abc"}),
+        ("capacity", {**capacity_base, "delta": "x"}),
+        ("capacity", {**capacity_base, "delta": 1.5}),
+    ):
+        path = _write(tmp_path, f"{command}.json", payload)
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG, payload
+        assert "config error:" in capsys.readouterr().err
+
 
 def test_capacity_closed_forms_in_csv(tmp_path):
     cfg = _write(
@@ -169,5 +190,10 @@ def test_verify_subcommand_writes_a_report(tmp_path):
 
 
 def test_unknown_suite_is_rejected_by_the_parser():
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "quantum"])
+    for argv in (
+        ["verify", "quantum"],
+        ["reduce", "--config", "reduce.json", "--seed", "1"],
+        ["verify", "calculus", "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit):
+            cli.main(argv)

@@ -76,26 +76,26 @@ def test_malformed_atom_entries_are_config_errors():
 
 
 def test_unknown_keys_and_schemes_fail_eagerly():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base(scheme="annealing"))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base(tolerances={"tol": 1e-9, "warp": 1.0}))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base(nonlinearity={"kind": "tanh"}))
+    for overrides in (
+        {"scheme": "annealing"},
+        {"tolerances": {"tol": 1e-9, "warp": 1.0}},
+        {"nonlinearity": {"kind": "tanh"}},
+        {"scheme": "mollification", "nonlinearity": {"kind": "exp2sided"}},
+        {"schedule": [0.0, 1.0]},
+        {"schedule": [1.0, float("inf")]},
+        {"schedule": []},
+        {"schedule": "abc"},
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(_base(**overrides))
 
 
-def test_tolerances_resolve_with_env_override(monkeypatch):
+def test_tolerances_overlay_the_defaults():
     cfg = ExperimentConfig.from_dict(_base(tolerances={"tol": 1e-7}))
-    tols = cfg.resolve_tolerances()
-    assert tols["tol"] == 1e-7
-    assert tols["good_tol"] == 1e-6
-
-    monkeypatch.setenv("RMLAB_TOL", "1e-5")
-    assert cfg.resolve_tolerances()["tol"] == 1e-5
-
-    monkeypatch.setenv("RMLAB_TOL", "tiny")
+    assert cfg.resolve_tolerances() == {"tol": 1e-7, "seq_tol": None}
+    assert ExperimentConfig.from_dict(_base()).resolve_tolerances()["tol"] == 1e-9
     with pytest.raises(ConfigError):
-        cfg.resolve_tolerances()
+        ExperimentConfig.from_dict(_base(tolerances={"good_tol": 1e-6}))
 
 
 def test_from_file_reports_config_errors(tmp_path):

@@ -27,7 +27,6 @@ from reduced_measures.reduction import (
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
-    split_residual,
     truncation_schedule,
     weak_l1_stability_experiment,
 )
@@ -163,6 +162,21 @@ def test_signed_reduction_splits_by_sign():
     assert "negative_part" in res_neg.diagnostics
 
 
+def test_signed_direct_route_is_the_truncation_of_the_signed_datum():
+    grid = _disk(2.0**-8)
+    g2 = make_two_sided_exponential()
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi), (0.5, -3.0)])
+    signed = reduce_signed(grid, g2, mu)
+    direct = reduce_by_truncation(grid, g2, mu)
+    assert not direct.diagnostics["exact"]  # the limit step ran
+    assert signed.diagnostics["direct_mu_star"].atoms == direct.mu_star.atoms
+    assert np.array_equal(
+        signed.diagnostics["direct_mu_star"].density, direct.mu_star.density
+    )
+    assert signed.levels == direct.levels
+    assert signed.diagnostics["direct_converged"] == direct.converged
+
+
 def test_one_sided_absorption_passes_negative_atoms_through():
     grid = _disk(2.0**-8)
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, -8 * math.pi)])
@@ -180,17 +194,6 @@ def test_goodness_verdicts():
     bad = goodness_test(grid, g, DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)]))
     assert not bad["is_good"]
     assert bad["defect"] > 1.0
-
-
-def test_split_residual_passthrough_contract():
-    grid = _disk(2.0**-8)
-    g = make_exponential()
-    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 2 * math.pi)])
-    res = reduce_by_truncation(grid, g, mu)
-    out = split_residual(grid, g, mu, res.u_star, exact=True)
-    assert out is mu
-    diffuse = DiscreteMeasure.from_density(grid, 1.0)
-    assert split_residual(grid, g, diffuse, res.u_star) is diffuse
 
 
 def test_oracle_closed_forms():
