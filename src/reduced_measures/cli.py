@@ -34,6 +34,7 @@ from .config import ConfigError, ExperimentConfig, grid_from_spec, read_config
 from .grids import Grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .reduction import (
+    mollification_schedule,
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
@@ -88,18 +89,13 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _node_coords(grid: Grid, node: int) -> list[float]:
-    coords = grid.nodes[node]
-    return [float(c) for c in np.atleast_1d(coords)]
-
-
 def _atoms_json(measure: DiscreteMeasure) -> list[dict]:
     out = []
     for node, weight in sorted(measure.atoms):
         out.append(
             {
                 "node": int(node),
-                "at": _node_coords(measure.grid, node),
+                "at": list(measure.atom_coordinate(node)),
                 "weight": float(weight),
             }
         )
@@ -136,9 +132,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     grid = cfg.build_grid()
     g = cfg.build_nonlinearity()
     mu = cfg.build_measure(grid)
-    tols = cfg.resolve_tolerances()
     op = negative_laplacian(grid)
-    report = solve_semilinear(op, g, mu, tol=tols["tol"])
+    report = solve_semilinear(op, g, mu)
 
     header, rows = _solution_rows(grid, report.u.values)
     _write_csv(os.path.join(out_dir, "solution.csv"), header, rows)
@@ -178,6 +173,15 @@ def _run_reduction(cfg: ExperimentConfig):
     g = cfg.build_nonlinearity()
     mu = cfg.build_measure(grid)
     tols = cfg.resolve_tolerances()
+    if cfg.scheme == "mollification":
+        # the largest radius keeps the most cells off the boundary and the
+        # smallest must still be resolved, so these two vouch for the rest
+        radii = cfg.schedule or mollification_schedule(grid)
+        for radius in (min(radii), max(radii)):
+            try:
+                mu.check_mollifiable(radius)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     runner = _SCHEMES[cfg.scheme]
     result = runner(grid, g, mu, cfg.schedule, seq_tol=tols["seq_tol"])
     return grid, g, mu, result
@@ -249,7 +253,10 @@ def run_capacity(raw: dict, out_dir: str) -> int:
     for spec in sets:
         K = _compact_set(grid, spec)
         value = capacity_mod.cap_h1(grid, K, op=op)["value"]
-        witness = capacity_mod.construct_psi(grid, K, delta=delta, op=op)
+        try:
+            witness = capacity_mod.construct_psi(grid, K, delta=delta, op=op)
+        except ValueError as exc:
+            raise ConfigError(f"capacity set {K.tag!r}: {exc}") from exc
         rows.append(
             [K.tag, grid.h, value, witness["delta1_mass"], witness["ratio"]]
         )
@@ -354,7 +361,10 @@ def run_sweep(raw: dict, out_dir: str, threads: int) -> int:
     values = sweep.get("values")
     if not values:
         raise ConfigError("sweep needs a non-empty 'values' list")
-    values = sorted(float(v) for v in values)
+    try:
+        values = sorted(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep values must be numbers, got {values!r}") from exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

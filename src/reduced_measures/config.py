@@ -19,7 +19,6 @@ from .grids import Grid, build_grid
 from .measures import DiscreteMeasure
 
 _TOLERANCE_DEFAULTS = {
-    "tol": 1e-9,       # solver residual, relative to datum mass
     "seq_tol": None,   # scheme step tolerance; None = 1e-7 * |domain|
 }
 
@@ -113,7 +112,7 @@ class ExperimentConfig:
         if cfg.scheme == "mollification" and not g.convex:
             raise ConfigError(
                 "the mollification scheme needs a convex nonlinearity, "
-                f"got {g.name!r}"
+                f"got {g.kind!r}"
             )
         return cfg
 

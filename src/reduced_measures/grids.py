@@ -243,28 +243,30 @@ class LinearOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         if self.is_tridiagonal:
-            out = np.empty_like(values)
-            _kernels.tridiag_matvec(self.dl, self.d, self.du, values, out)
+            out = self.d * values
+            out[1:] += self.dl * values[:-1]
+            out[:-1] += self.du * values[1:]
             return out
         return self._csr @ values
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.is_tridiagonal:
-            return _kernels.thomas_solve(self.dl, self.d, self.du, rhs)
-        if self._lu is None:
-            self._lu = spla.splu(self.matrix.tocsc())
-        return self._lu.solve(rhs)
+    def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve (L + diag(shift)) x = rhs; shift >= 0 keeps the M-matrix.
 
-    def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (L + diag(shift)) x = rhs; shift >= 0 keeps the M-matrix."""
+        On rect2d the factorization of L itself is cached and every
+        shifted matrix is factored afresh."""
         if self.is_tridiagonal:
-            return _kernels.thomas_solve(self.dl, self.d + shift, self.du, rhs)
+            d = self.d if shift is None else self.d + shift
+            return _kernels.thomas_solve(self.dl, d, self.du, rhs)
         if self._csc is None:
             # every diagonal entry of L is stored, so L + diag(shift) has
             # the pattern of L and differs from it on the diagonal only
             csc = self.matrix.tocsc()
             cols = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
             self._csc, self._csc_diag = csc, np.flatnonzero(csc.indices == cols)
+        if shift is None:
+            if self._lu is None:
+                self._lu = spla.splu(self._csc)
+            return self._lu.solve(rhs)
         mat = self._csc.copy()
         mat.data[self._csc_diag] += shift
         return spla.splu(mat).solve(rhs)
@@ -285,16 +287,10 @@ def negative_laplacian(grid: Grid) -> LinearOperator:
         faces = (np.arange(m) + 1.5) * h  # face between node i and i+1
         flux = omega * faces ** (n - 1) / h  # conductance through each face
         d = np.empty(m)
-        dl = np.empty(m - 1)
-        du = np.empty(m - 1)
         d[0] = flux[0] / vols[0]
-        du[0] = -flux[0] / vols[0]
-        for i in range(1, m):
-            inner, outer = flux[i - 1], flux[i]
-            d[i] = (inner + outer) / vols[i]
-            dl[i - 1] = -inner / vols[i]
-            if i < m - 1:
-                du[i] = -outer / vols[i]
+        d[1:] = (flux[:-1] + flux[1:]) / vols[1:]
+        dl = -flux[:-1] / vols[1:]
+        du = -flux[:-1] / vols[:-1]
         # the outermost face couples to the eliminated ghost node at r = R
         return LinearOperator(grid, dl, d, du)
 

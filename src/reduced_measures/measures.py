@@ -179,39 +179,44 @@ class DiscreteMeasure:
 
     # --- mollification --------------------------------------------------------
 
-    def mollify_radius(self, radius: float) -> "DiscreteMeasure":
-        """Replace atoms (and smooth the density) with the triangular bump
-        (1 - |x|/r)+ at radius r.  Mass is redistributed cellwise (each
-        source cell's mass is spread with a discretely normalized kernel),
-        so the total mass is conserved exactly."""
+    def check_mollifiable(self, radius: float) -> None:
+        """Raise ValueError unless the kernel of this radius is resolved by
+        the grid and every density cell and atom lies farther than the
+        radius from the boundary."""
         grid = self.grid
         if radius < 2.0 * grid.h:
             raise ValueError(
                 f"mollification radius {radius} is unresolvable at h={grid.h}"
             )
         interior = grid.interior_mask(radius)
+        if not np.all(interior[np.flatnonzero(self.density)]):
+            raise ValueError("density support too close to the boundary")
+        if not all(interior[node] for node, _ in self.atoms):
+            raise ValueError("atom too close to the boundary to mollify")
+
+    def mollify_radius(self, radius: float) -> "DiscreteMeasure":
+        """Replace atoms (and smooth the density) with the triangular bump
+        (1 - |x|/r)+ at radius r.  Mass is redistributed cellwise (each
+        source cell's mass is spread with a discretely normalized kernel),
+        so the total mass is conserved exactly."""
+        self.check_mollifiable(radius)
+        grid = self.grid
         out = np.zeros(grid.n_nodes)
         vols = grid.cell_volumes
 
-        def spread(node: int, mass: float, dist: np.ndarray):
+        def spread(mass: float, dist: np.ndarray):
             kernel = np.maximum(1.0 - dist / radius, 0.0)
             norm = float(np.sum(kernel * vols))
             out[:] += mass * kernel / norm
 
-        if np.any(self.density != 0.0):
-            support = np.nonzero(self.density)[0]
-            if not np.all(interior[support]):
-                raise ValueError("density support too close to the boundary")
-            for j in support:
-                spread(j, self.density[j] * vols[j], grid.distances_to(j))
+        for j in np.flatnonzero(self.density):
+            spread(self.density[j] * vols[j], grid.distances_to(j))
         for node, weight in self.atoms:
-            if not interior[node]:
-                raise ValueError("atom too close to the boundary to mollify")
             if grid.kind == "radialN" and node == 0:
                 dist = np.abs(grid.nodes)  # atom sits at the origin
             else:
                 dist = grid.distances_to(node)
-            spread(node, weight, dist)
+            spread(weight, dist)
         return DiscreteMeasure(grid, out)
 
 

@@ -15,65 +15,79 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import (
-    KIND_EXP,
-    KIND_EXP2,
-    KIND_POWER,
-    g_deriv,
-    g_eval,
-)
-
-_NAMES = {KIND_POWER: "power", KIND_EXP: "exp", KIND_EXP2: "exp2sided"}
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    kind: int
+    """``kind`` names the family: ``"power"`` is (t+)^p, ``"exp"`` is
+    e^t - 1 on t >= 0 and zero below, ``"exp2sided"`` is sign(t) (e^|t| - 1)."""
+
+    kind: str
     p: float = 0.0
     lo: float = -math.inf  # value clamp below
     hi: float = math.inf  # value clamp above
     arg_hi: float = math.inf  # argument clamp (second truncation family)
 
     def __post_init__(self):
-        if self.kind not in _NAMES:
-            raise ValueError(f"unknown nonlinearity kind {self.kind}")
-        if self.kind == KIND_POWER and self.p < 1.0:
+        if self.kind not in ("power", "exp", "exp2sided"):
+            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        if self.kind == "power" and self.p < 1.0:
             raise ValueError("power exponent must be >= 1")
 
     # --- evaluation --------------------------------------------------------
+    # A scalar is evaluated as a one-element array (numpy's scalar power
+    # rounds differently from its array loop) and returned as a float.
+    # Overflow saturates to inf and is then clipped to the cap, so the
+    # warning carries no information.
+
+    def _unclamped(self, tt: np.ndarray) -> np.ndarray:
+        """g at the argument-clamped points ``tt``, before the value clamp."""
+        if self.kind == "power":
+            return np.where(tt > 0.0, np.maximum(tt, 0.0) ** self.p, 0.0)
+        if self.kind == "exp":
+            return np.where(tt > 0.0, np.expm1(tt), 0.0)
+        return np.sign(tt) * np.expm1(np.abs(tt))
 
     def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        g_eval(self.kind, self.p, self.lo, self.hi, self.arg_hi, t, out)
-        return out if out.shape != (1,) else float(out[0])
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):
+            tt = np.minimum(np.atleast_1d(t), self.arg_hi)
+            v = np.clip(self._unclamped(tt), self.lo, self.hi)
+        return float(v[0]) if t.ndim == 0 else v
 
     def deriv(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        g_deriv(self.kind, self.p, self.lo, self.hi, self.arg_hi, t, out)
-        return out if out.shape != (1,) else float(out[0])
+        # zero past the clamps, the interior slope at the kinks themselves,
+        # so the Jacobian stays bounded
+        t = np.asarray(t, dtype=float)
+        t1 = np.atleast_1d(t)
+        with np.errstate(over="ignore"):
+            tt = np.minimum(t1, self.arg_hi)
+            v = self._unclamped(tt)
+            if self.kind == "power":
+                safe = np.maximum(tt, 1e-300)
+                d = np.where(tt > 0.0, self.p * safe ** (self.p - 1.0), 0.0)
+            elif self.kind == "exp":
+                d = np.where(tt > 0.0, np.exp(tt), 0.0)
+            else:
+                d = np.exp(np.abs(tt))
+            d = np.where((v > self.hi) | (v < self.lo) | (t1 > self.arg_hi), 0.0, d)
+        return float(d[0]) if t.ndim == 0 else d
 
     # --- structure flags ---------------------------------------------------
 
     @property
-    def name(self) -> str:
-        return _NAMES[self.kind]
-
-    @property
     def vanishes_on_negatives(self) -> bool:
-        return self.kind in (KIND_POWER, KIND_EXP)
+        return self.kind in ("power", "exp")
 
     @property
     def convex(self) -> bool:
         # convex on R for the one-sided members; the odd two-sided
         # exponential is not (concave on the negative axis)
-        return self.kind in (KIND_POWER, KIND_EXP)
+        return self.kind in ("power", "exp")
 
     @property
     def delta2(self) -> bool:
         """Doubling condition g(2t) <= C g(t); true for powers only."""
-        return self.kind == KIND_POWER
+        return self.kind == "power"
 
     @property
     def truncated(self) -> bool:
@@ -86,7 +100,7 @@ class Nonlinearity:
     def subcritical_for(self, dim: int) -> bool:
         """Whether every measure is good on a domain of this dimension:
         powers below N/(N-2) qualify; exponentials only in dimension 1."""
-        if self.kind == KIND_POWER:
+        if self.kind == "power":
             return dim <= 2 or self.p < dim / (dim - 2.0)
         return dim == 1
 
@@ -109,34 +123,34 @@ class Nonlinearity:
         """g+ = max(g, 0), the nonlinearity driving the positive part."""
         if self.vanishes_on_negatives:
             return self
-        if self.kind == KIND_EXP2:
-            return Nonlinearity(KIND_EXP)
+        if self.kind == "exp2sided":
+            return Nonlinearity("exp")
         raise ValueError("no positive-part view available")
 
     def reflected(self) -> "Nonlinearity":
         """t -> -g(-t), governing the reflected problem for data <= 0."""
-        if self.kind == KIND_EXP2:
-            return Nonlinearity(KIND_EXP2)  # odd
+        if self.kind == "exp2sided":
+            return Nonlinearity("exp2sided")  # odd
         if self.vanishes_on_negatives:
             # reflection of a one-sided g is identically zero on t >= 0;
             # model that as a power clamped to zero
-            return Nonlinearity(KIND_POWER, p=1.0, lo=0.0, hi=0.0)
+            return Nonlinearity("power", p=1.0, lo=0.0, hi=0.0)
         raise ValueError("no reflection available")
 
 
 def make_power(p: float) -> Nonlinearity:
     """g(t) = (t+)^p, zero on negatives."""
-    return Nonlinearity(KIND_POWER, p=float(p))
+    return Nonlinearity("power", p=float(p))
 
 
 def make_exponential() -> Nonlinearity:
     """g(t) = e^t - 1 for t >= 0, zero on negatives."""
-    return Nonlinearity(KIND_EXP)
+    return Nonlinearity("exp")
 
 
 def make_two_sided_exponential() -> Nonlinearity:
     """g(t) = sign(t) (e^|t| - 1), odd and nonvanishing on negatives."""
-    return Nonlinearity(KIND_EXP2)
+    return Nonlinearity("exp2sided")
 
 
 def from_config(cfg: dict) -> Nonlinearity:

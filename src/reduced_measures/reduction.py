@@ -209,7 +209,7 @@ def _uses_log_tail(g: Nonlinearity, grid: Grid) -> bool:
     # The planar exponential model absorbs along a logarithmic tail all
     # the way down to the atom; power models either converge outright or
     # leave no absorbing profile behind.
-    return g.name.startswith("exp") and grid.dim == 2
+    return g.kind.startswith("exp") and grid.dim == 2
 
 
 def _fit_atom(
@@ -279,30 +279,25 @@ def _extract_atoms(
     ladders = {node: _radius_ladder(h, rho_max_for(node)) for node in atom_nodes}
     log_tail = _uses_log_tail(g, grid)
 
-    def profile_fit(u_values: np.ndarray, measure: DiscreteMeasure) -> dict[int, float]:
-        d_mass = assemble_rhs(grid, measure) * vols
-        a_mass = g(u_values) * vols
-        fitted = {}
-        for node in atom_nodes:
-            radii = ladders[node]
-            if len(radii) == 0:
-                fitted[node] = 0.0
-                continue
-            flux = _flux_profile(grid, d_mass, a_mass, positions[node], radii)
-            fitted[node] = _fit_atom(radii, flux, h, log_tail)
-        return fitted
-
+    # each atom's flux profile in the saturated state, fitted once here
+    # and reused as the reference step's baseline
+    profiles = {
+        node: _flux_profile(grid, datum, absorbed, positions[node], ladders[node])
+        for node in atom_nodes
+        if len(ladders[node])
+    }
     candidate: dict[int, float] = {}
-    first_fit = profile_fit(u_sat, mu)
     for node, w in mu.atoms:
         if w < 0 and g.vanishes_on_negatives:
             # nothing absorbs on the negative side, so the atom passes
             # through the scheme untouched
             candidate[node] = w
             continue
+        a = 0.0
+        if node in profiles:
+            a = _fit_atom(ladders[node], profiles[node], h, log_tail)
         sign = 1.0 if w >= 0 else -1.0
-        a = sign * first_fit[node]
-        candidate[node] = sign * min(max(a, 0.0), abs(w))
+        candidate[node] = sign * min(max(sign * a, 0.0), abs(w))
 
     needs_reference = any(
         abs(candidate[node] - w) > 1e-12 * max(1.0, abs(w)) for node, w in mu.atoms
@@ -322,9 +317,8 @@ def _extract_atoms(
             radii = ladders[node]
             if len(radii) < 2:
                 continue
-            flux_c = _flux_profile(grid, datum, absorbed, positions[node], radii)
             flux_r = _flux_profile(grid, d_ref, a_ref, positions[node], radii)
-            diff = flux_c - flux_r
+            diff = profiles[node] - flux_r
             cols = np.column_stack(
                 [np.ones_like(radii), (h / radii) ** _TAIL_EXPONENT]
             )

@@ -243,7 +243,7 @@ def check_monotone_scheme() -> CheckResult:
     for tag, grid, g, atoms in instances:
         mu = DiscreteMeasure.from_atoms(grid, atoms)
         values = [float(2**k) for k in range(0, 19)]
-        if g.name.startswith("exp"):
+        if g.kind.startswith("exp"):
             args = [math.log1p(n) for n in values]
         else:
             args = [n ** (1.0 / g.p) for n in values]

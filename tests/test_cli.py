@@ -62,6 +62,7 @@ def test_reduce_reports_the_clamped_atom(tmp_path):
     # calibration accuracy is covered by the reduction tests at finer h;
     # here we only require the structural clamp below the critical mass
     ((atom),) = reduced["mu_star"]["atoms"]
+    assert atom["at"] == [0.0]  # the origin atom sits at r = 0, not at node 0
     assert 0.6 * 4 * math.pi <= atom["weight"] <= 4 * math.pi * (1 + 1e-9)
     assert reduced["defect_tv"] == pytest.approx(8 * math.pi - atom["weight"])
 
@@ -98,13 +99,22 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
         "grid": DISK,
         "sets": [{"kind": "point", "at": 0.0}],
     }
+    mollify = {**reduce_base, "scheme": "mollification"}
     for command, payload in (
-        ("reduce", {**reduce_base, "scheme": "mollification",
-                    "nonlinearity": {"kind": "exp2sided"}}),
+        ("reduce", {**mollify, "nonlinearity": {"kind": "exp2sided"}}),
         ("reduce", {**reduce_base, "schedule": [0.0, 1.0]}),
         ("reduce", {**reduce_base, "schedule": "abc"}),
         ("capacity", {**capacity_base, "delta": "x"}),
         ("capacity", {**capacity_base, "delta": 1.5}),
+        ("reduce", {**reduce_base, "tolerances": {"tol": 1e-3}}),
+        # a kernel radius below 2h, and an atom the default radii push
+        # across the boundary
+        ("reduce", {**mollify, "schedule": [0.001]}),
+        ("reduce", {**mollify, "measure": {"atoms": [{"at": 0.95, "weight": 2.0}]}}),
+        ("sweep", {"base": reduce_base, "sweep": {"parameter": "h", "values": ["a"]}}),
+        # the cut-off at this delta reaches the boundary ring
+        ("capacity", {"grid": {"kind": "rect2d", "h": 2.0**-7}, "delta": 1e-6,
+                      "sets": [{"kind": "point", "at": [0.5, 0.5]}]}),
     ):
         path = _write(tmp_path, f"{command}.json", payload)
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG, payload

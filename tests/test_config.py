@@ -91,11 +91,12 @@ def test_unknown_keys_and_schemes_fail_eagerly():
 
 
 def test_tolerances_overlay_the_defaults():
-    cfg = ExperimentConfig.from_dict(_base(tolerances={"tol": 1e-7}))
-    assert cfg.resolve_tolerances() == {"tol": 1e-7, "seq_tol": None}
-    assert ExperimentConfig.from_dict(_base()).resolve_tolerances()["tol"] == 1e-9
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base(tolerances={"good_tol": 1e-6}))
+    cfg = ExperimentConfig.from_dict(_base(tolerances={"seq_tol": 1e-6}))
+    assert cfg.resolve_tolerances() == {"seq_tol": 1e-6}
+    assert ExperimentConfig.from_dict(_base()).resolve_tolerances() == {"seq_tol": None}
+    for key in ("good_tol", "tol"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(_base(tolerances={key: 1e-6}))
 
 
 def test_from_file_reports_config_errors(tmp_path):
