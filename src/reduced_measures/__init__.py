@@ -2,7 +2,7 @@
 measure data: truncation and mollification limits, reduced-measure
 extraction, measure calculus, and discrete capacities."""
 
-from .grids import Grid, GridFunction, LinearOperator, build_grid, integrate, negative_laplacian
+from .grids import Grid, GridFunction, LinearOperator, build_grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .nonlinearities import (
     Nonlinearity,
@@ -15,13 +15,11 @@ from .solver import (
     assemble_rhs,
     check_apriori_estimates,
     compare_solutions,
-    solve_linear,
     solve_semilinear,
 )
 from .reduction import (
     ReducedResult,
     calculus_check,
-    goodness_test,
     mollification_schedule,
     oracle_reduced,
     reduce_by_mollification,
@@ -35,7 +33,6 @@ from .capacity import (
     ball_set,
     cap_h1,
     construct_psi,
-    lower_bound_check,
     point_set,
 )
 from .config import ConfigError, ExperimentConfig
@@ -51,7 +48,6 @@ __all__ = [
     "GridFunction",
     "LinearOperator",
     "build_grid",
-    "integrate",
     "negative_laplacian",
     "DiscreteMeasure",
     "tv_distance",
@@ -61,7 +57,6 @@ __all__ = [
     "make_two_sided_exponential",
     "SolveReport",
     "assemble_rhs",
-    "solve_linear",
     "solve_semilinear",
     "check_apriori_estimates",
     "compare_solutions",
@@ -71,7 +66,6 @@ __all__ = [
     "reduce_by_truncation",
     "reduce_by_mollification",
     "reduce_signed",
-    "goodness_test",
     "oracle_reduced",
     "calculus_check",
     "weak_l1_stability_experiment",
@@ -80,7 +74,6 @@ __all__ = [
     "ball_set",
     "cap_h1",
     "construct_psi",
-    "lower_bound_check",
     "ConfigError",
     "ExperimentConfig",
     "CheckResult",

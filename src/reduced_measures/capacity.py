@@ -4,8 +4,8 @@ Two quantities for a compact node set K: the H1 capacity (Dirichlet
 energy of the equilibrium potential clamped to 1 on K) and the mass
 ``delta1_mass`` of the distributional Laplacian of a cut-off built from
 that potential.  The structural fact this module certifies numerically
-is that the second is twice the first: the cut-off witnesses the upper
-bound and every feasible test function witnesses the lower bound.
+is that the second is twice the first; ``construct_psi`` reports their
+ratio.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def point_set(grid: Grid, point, tag: str = "point") -> CompactSet:
 
 def ball_set(grid: Grid, center, radius: float, tag: str = "ball") -> CompactSet:
     node, _ = grid.owner_node(center)
-    dist = np.abs(grid.nodes) if grid.kind == "radialN" and node == 0 else grid.distances_to(node)
-    return CompactSet(grid, np.flatnonzero(dist <= radius), tag)
+    return CompactSet(grid, np.flatnonzero(grid.atom_distances(node) <= radius), tag)
 
 
 def cap_h1(grid: Grid, K: CompactSet, op=None) -> dict:
@@ -70,16 +69,6 @@ def cap_h1(grid: Grid, K: CompactSet, op=None) -> dict:
         u[free] = splu(A[free][:, free].tocsc()).solve(rhs)
     energy = float(np.sum(u * op.apply(u) * grid.cell_volumes))
     return {"value": energy, "potential": GridFunction(grid, u)}
-
-
-def _smooth(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
-    """Weighted moving average with a triangle kernel of the given
-    radius (plain function smoothing, not mass-preserving)."""
-    out = np.empty_like(values)
-    for i in range(grid.n_nodes):
-        w = np.maximum(0.0, 1.0 - grid.distances_to(i) / radius)
-        out[i] = float(np.dot(w, values) / np.sum(w))
-    return out
 
 
 def construct_psi(
@@ -112,7 +101,9 @@ def construct_psi(
         radius = 1.0 / mollify_level
         if radius < 2.0 * grid.h:
             raise ValueError("smoothing kernel below the resolvable 2h floor")
-        psi = _smooth(grid, psi, radius)
+        # weighted moving average with the triangle kernel (plain function
+        # smoothing, not mass-preserving)
+        psi = grid.kernel_sum(psi, radius) / grid.kernel_sum(np.ones_like(psi), radius)
         psi[K.mask()] = 1.0
     delta1 = float(np.sum(np.abs(op.apply(psi)) * grid.cell_volumes))
     return {
@@ -122,30 +113,3 @@ def construct_psi(
         "ratio": delta1 / pot["value"] if pot["value"] > 0 else float("inf"),
     }
 
-
-def lower_bound_check(
-    grid: Grid,
-    K: CompactSet,
-    phi: GridFunction | np.ndarray,
-    slack: float = 1e-9,
-    op=None,
-) -> bool:
-    """Every admissible test function bounds the capacity from below:
-    cap_h1(K) <= half the L1 mass of its Laplacian.
-
-    Admissible means phi >= 1 on K and compactly supported away from
-    the boundary ring.  Note the equilibrium potential itself is not
-    admissible: it reaches the boundary with nonzero slope, so its
-    Laplacian carries only the sink at K and misses the compensating
-    source mass that any compactly supported competitor must have.
-    """
-    values = phi.values if isinstance(phi, GridFunction) else np.asarray(phi, dtype=float)
-    if np.any(values[K.nodes] < 1.0 - 1e-12):
-        raise ValueError("test function is below 1 somewhere on K")
-    if np.any(np.abs(values[grid.boundary_adjacent]) > 1e-12):
-        raise ValueError("test function does not vanish near the boundary")
-    if op is None:
-        op = negative_laplacian(grid)
-    half_mass = 0.5 * float(np.sum(np.abs(op.apply(values)) * grid.cell_volumes))
-    cap = cap_h1(grid, K, op=op)["value"]
-    return cap <= half_mass + slack

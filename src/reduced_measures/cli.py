@@ -34,7 +34,7 @@ from .config import ConfigError, ExperimentConfig, grid_from_spec, read_config
 from .grids import Grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .reduction import (
-    mollification_schedule,
+    check_mollification_schedule,
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
@@ -174,14 +174,10 @@ def _run_reduction(cfg: ExperimentConfig):
     mu = cfg.build_measure(grid)
     tols = cfg.resolve_tolerances()
     if cfg.scheme == "mollification":
-        # the largest radius keeps the most cells off the boundary and the
-        # smallest must still be resolved, so these two vouch for the rest
-        radii = cfg.schedule or mollification_schedule(grid)
-        for radius in (min(radii), max(radii)):
-            try:
-                mu.check_mollifiable(radius)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            check_mollification_schedule(mu, cfg.schedule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     runner = _SCHEMES[cfg.scheme]
     result = runner(grid, g, mu, cfg.schedule, seq_tol=tols["seq_tol"])
     return grid, g, mu, result

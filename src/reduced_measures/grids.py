@@ -130,6 +130,32 @@ class Grid:
             return np.linalg.norm(self.nodes - self.nodes[node], axis=1)
         return np.abs(self.nodes - self.nodes[node])
 
+    def atom_distances(self, node: int) -> np.ndarray:
+        """Distance from every node to the atom owned by ``node``: a
+        radialN node-0 atom sits at the origin, every other atom at its
+        node."""
+        if self.kind == "radialN" and node == 0:
+            return np.abs(self.nodes)
+        return self.distances_to(node)
+
+    def kernel_sum(self, values: np.ndarray, radius: float) -> np.ndarray:
+        """out[i] = sum_j max(0, 1 - d(i, j)/radius) values[j] for the
+        metric d of ``distances_to``, summed over lattice offsets: shifted
+        slices of the zero-padded values, on the (ny, nx) array for rect2d
+        and on the node line otherwise."""
+        shape = self.shape2d[::-1] if self.kind == "rect2d" else (self.n_nodes,)
+        k = int(radius / self.h) + 1  # one spare offset absorbs rounding in radius/h
+        axis = np.arange(-k, k + 1) * self.h
+        offsets = np.meshgrid(*[axis] * len(shape), indexing="ij")
+        dist = np.sqrt(sum(o * o for o in offsets))
+        weights = np.maximum(0.0, 1.0 - dist / radius)
+        padded = np.pad(np.reshape(values, shape), k)
+        out = np.zeros(shape)
+        for idx in np.argwhere(weights > 0.0):
+            window = tuple(slice(i, i + n) for i, n in zip(idx, shape))
+            out += weights[tuple(idx)] * padded[window]
+        return out.ravel()
+
     def interior_mask(self, margin: float) -> np.ndarray:
         """Nodes at distance greater than ``margin`` from the boundary."""
         if self.kind == "interval1d":
@@ -151,11 +177,6 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_nodes,):
             raise ValueError("values must have one entry per interior node")
-
-
-def integrate(f: GridFunction) -> float:
-    """Cell-volume weighted integral over the domain."""
-    return float(np.sum(f.values * f.grid.cell_volumes))
 
 
 def build_grid(

@@ -85,12 +85,6 @@ class DiscreteMeasure:
             + sum(abs(w) for _, w in self.atoms)
         )
 
-    def density_mass(self) -> float:
-        return float(np.sum(self.density * self.grid.cell_volumes))
-
-    def total_mass(self) -> float:
-        return self.density_mass() + sum(w for _, w in self.atoms)
-
     # --- arithmetic ---------------------------------------------------------
 
     def _check_grid(self, other: "DiscreteMeasure"):
@@ -155,15 +149,7 @@ class DiscreteMeasure:
         diff = other.atom_weights() - self.atom_weights()
         return bool(np.all(diff >= -tol))
 
-    # --- restriction and splitting -------------------------------------------
-
-    def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
-        mask = np.asarray(mask, dtype=bool)
-        return DiscreteMeasure(
-            self.grid,
-            np.where(mask, self.density, 0.0),
-            tuple((n, w) for n, w in self.atoms if mask[n]),
-        )
+    # --- splitting -------------------------------------------------------------
 
     def decompose(self) -> tuple["DiscreteMeasure", "DiscreteMeasure"]:
         """Split into (diffuse, concentrated) parts: the density carries no
@@ -201,22 +187,18 @@ class DiscreteMeasure:
         so the total mass is conserved exactly."""
         self.check_mollifiable(radius)
         grid = self.grid
-        out = np.zeros(grid.n_nodes)
         vols = grid.cell_volumes
-
-        def spread(mass: float, dist: np.ndarray):
-            kernel = np.maximum(1.0 - dist / radius, 0.0)
-            norm = float(np.sum(kernel * vols))
-            out[:] += mass * kernel / norm
-
-        for j in np.flatnonzero(self.density):
-            spread(self.density[j] * vols[j], grid.distances_to(j))
-        for node, weight in self.atoms:
-            if grid.kind == "radialN" and node == 0:
-                dist = np.abs(grid.nodes)  # atom sits at the origin
-            else:
-                dist = grid.distances_to(node)
-            spread(weight, dist)
+        atoms = self.atom_weights()
+        out = np.zeros(grid.n_nodes)
+        if grid.kind == "radialN" and atoms[0] != 0.0:
+            # the origin atom's bump is centred at r = 0, not at node 0
+            kernel = np.maximum(1.0 - grid.atom_distances(0) / radius, 0.0)
+            out += atoms[0] * kernel / float(np.sum(kernel * vols))
+            atoms[0] = 0.0
+        # the kernel is symmetric, so kernel_sum(vols)[j] is the
+        # normalization of source j's kernel
+        mass = self.density * vols + atoms
+        out += grid.kernel_sum(mass / grid.kernel_sum(vols, radius), radius)
         return DiscreteMeasure(grid, out)
 
 

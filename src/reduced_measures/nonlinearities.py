@@ -84,19 +84,6 @@ class Nonlinearity:
         # exponential is not (concave on the negative axis)
         return self.kind in ("power", "exp")
 
-    @property
-    def delta2(self) -> bool:
-        """Doubling condition g(2t) <= C g(t); true for powers only."""
-        return self.kind == "power"
-
-    @property
-    def truncated(self) -> bool:
-        return math.isfinite(self.hi) or math.isfinite(self.arg_hi)
-
-    @property
-    def truncation_level(self) -> float:
-        return self.hi if math.isfinite(self.hi) else self.arg_hi
-
     def subcritical_for(self, dim: int) -> bool:
         """Whether every measure is good on a domain of this dimension:
         powers below N/(N-2) qualify; exponentials only in dimension 1."""
@@ -118,14 +105,6 @@ class Nonlinearity:
         raise ValueError(f"unknown truncation family {family!r}")
 
     # --- signed-problem views ---------------------------------------------
-
-    def positive_part(self) -> "Nonlinearity":
-        """g+ = max(g, 0), the nonlinearity driving the positive part."""
-        if self.vanishes_on_negatives:
-            return self
-        if self.kind == "exp2sided":
-            return Nonlinearity("exp")
-        raise ValueError("no positive-part view available")
 
     def reflected(self) -> "Nonlinearity":
         """t -> -g(-t), governing the reflected problem for data <= 0."""

@@ -180,12 +180,6 @@ def _radius_ladder(h: float, rho_max: float) -> np.ndarray:
     return np.array(radii)
 
 
-def _atom_distances(grid: Grid, node: int) -> np.ndarray:
-    if grid.kind == "radialN" and node == 0:
-        return np.abs(grid.nodes)
-    return grid.distances_to(node)
-
-
 def _flux_profile(
     grid: Grid,
     datum_cell_mass: np.ndarray,
@@ -254,7 +248,7 @@ def _extract_atoms(
 
     atom_nodes = [node for node, _ in mu.atoms]
     weights = {node: w for node, w in mu.atoms}
-    positions = {node: _atom_distances(grid, node) for node in atom_nodes}
+    positions = {node: grid.atom_distances(node) for node in atom_nodes}
     boundary_gap = {
         node: float(np.min(positions[node][grid.boundary_adjacent]))
         for node in atom_nodes
@@ -405,17 +399,27 @@ def reduce_by_truncation(
     )
 
 
-def mollification_schedule(grid: Grid, start: float | None = None) -> list[float]:
-    """Halving kernel radii from a coarse start down to the 4h floor
-    (below that the kernel no longer spreads mass between cells)."""
-    scale = _domain_scale(grid)
+def mollification_schedule(grid: Grid) -> list[float]:
+    """Halving kernel radii from an eighth of the domain scale down to the
+    4h floor (below that the kernel no longer spreads mass between cells)."""
     floor = 4.0 * grid.h
-    r = start if start is not None else scale / 8.0
+    r = _domain_scale(grid) / 8.0
     radii = []
     while r > floor:
         radii.append(r)
         r /= 2.0
     radii.append(floor)
+    return radii
+
+
+def check_mollification_schedule(mu: DiscreteMeasure, schedule=None) -> list[float]:
+    """Return the schedule (the default one for None) after checking that
+    every radius can mollify ``mu``; raise ValueError otherwise.  The
+    largest radius keeps the most cells off the boundary and the smallest
+    must still be resolved, so these two vouch for the rest."""
+    radii = mollification_schedule(mu.grid) if schedule is None else list(schedule)
+    for radius in (min(radii), max(radii)):
+        mu.check_mollifiable(radius)
     return radii
 
 
@@ -433,8 +437,7 @@ def reduce_by_mollification(
     limit coincides with the truncation limit."""
     if not g.convex:
         raise ValueError("the mollification scheme requires a convex nonlinearity")
-    if schedule is None:
-        schedule = mollification_schedule(grid)
+    schedule = check_mollification_schedule(mu, schedule)
     if seq_tol is None:
         seq_tol = _default_seq_tol(grid)
     if op is None:
@@ -557,12 +560,7 @@ def reduce_signed(
 # --- closed-form oracles -----------------------------------------------------
 
 
-def oracle_reduced(
-    mu: DiscreteMeasure,
-    model: str,
-    *,
-    threshold: float = FOUR_PI,
-) -> DiscreteMeasure:
+def oracle_reduced(mu: DiscreteMeasure, model: str) -> DiscreteMeasure:
     """Closed-form reduced measure for the model families.
 
     subcritical_power   every measure is good: the datum itself.
@@ -578,12 +576,12 @@ def oracle_reduced(
         return DiscreteMeasure(mu.grid, mu.density, atoms)
     if model == "exp2d":
         atoms = tuple(
-            (n, min(w, threshold) if w > 0 else w) for n, w in mu.atoms
+            (n, min(w, FOUR_PI) if w > 0 else w) for n, w in mu.atoms
         )
         return DiscreteMeasure(mu.grid, mu.density, atoms)
     if model == "exp2d_twosided":
         atoms = tuple(
-            (n, math.copysign(min(abs(w), threshold), w)) for n, w in mu.atoms
+            (n, math.copysign(min(abs(w), FOUR_PI), w)) for n, w in mu.atoms
         )
         return DiscreteMeasure(mu.grid, mu.density, atoms)
     raise ValueError(f"unknown oracle model: {model!r}")
@@ -593,7 +591,6 @@ def calculus_check(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     model: str = "exp2d",
-    **params,
 ) -> dict:
     """Evaluate the algebra of the reduction map R on a pair of measures
     and report the violation of each identity as a tv distance.
@@ -604,7 +601,7 @@ def calculus_check(
     """
 
     def R(m: DiscreteMeasure) -> DiscreteMeasure:
-        return oracle_reduced(m, model, **params)
+        return oracle_reduced(m, model)
 
     out: dict[str, float] = {}
 
@@ -644,24 +641,6 @@ def calculus_check(
 
     out["max_violation"] = max(out.values()) if out else 0.0
     return out
-
-
-def goodness_test(
-    grid: Grid,
-    g: Nonlinearity,
-    mu: DiscreteMeasure,
-    *,
-    good_tol: float = 1e-6,
-    schedule=None,
-) -> dict:
-    """Run the truncation scheme and decide whether the datum survives it."""
-    result = reduce_by_truncation(grid, g, mu, schedule)
-    defect = tv_distance(mu, result.mu_star)
-    return {
-        "is_good": defect <= good_tol * max(1.0, mu.tv_norm()),
-        "defect": defect,
-        "result": result,
-    }
 
 
 # --- weak-L1 stability experiments -------------------------------------------

@@ -1,4 +1,4 @@
-"""Linear and semilinear solves against measure data.
+"""Semilinear solves against measure data.
 
 The semilinear solver is the damped Newton iteration of
 ``_kernels.newton`` on F(u) = L u + g(u) - b with an l1 (cell-volume
@@ -32,10 +32,6 @@ class SolveReport:
     residual_l1: float
     method_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
 
 def assemble_rhs(grid: Grid, mu: DiscreteMeasure) -> np.ndarray:
     """Load vector: density plus atom weights divided by their cell volume."""
@@ -43,17 +39,6 @@ def assemble_rhs(grid: Grid, mu: DiscreteMeasure) -> np.ndarray:
     for node, weight in mu.atoms:
         b[node] += weight / grid.cell_volumes[node]
     return b
-
-
-def solve_linear(op: LinearOperator, mu: DiscreteMeasure) -> SolveReport:
-    b = assemble_rhs(op.grid, mu)
-    x = op.solve(b)
-    res = np.abs(op.apply(x) - b)
-    res_l1 = float(np.sum(res * op.grid.cell_volumes))
-    scale = max(1.0, float(np.sum(np.abs(b) * op.grid.cell_volumes)))
-    return SolveReport(
-        GridFunction(op.grid, x), res_l1 <= 1e-10 * scale, 1, res_l1
-    )
 
 
 def solve_semilinear(
@@ -96,10 +81,9 @@ def check_apriori_estimates(
     g: Nonlinearity,
     mu: DiscreteMeasure,
     report: SolveReport,
-    eps: float = 0.05,
 ) -> dict:
     """Absorption mass is bounded by the data mass and the discrete
-    Laplacian mass by twice the data mass, with tolerance eps."""
+    Laplacian mass by twice the data mass, each with 5 % slack."""
     tv = mu.tv_norm()
     gm = g_mass(op.grid, g, report.u.values)
     lm = laplacian_mass(op, report.u.values)
@@ -107,8 +91,8 @@ def check_apriori_estimates(
         "tv": tv,
         "g_mass": gm,
         "laplacian_mass": lm,
-        "g_mass_ok": gm <= (1.0 + eps) * tv + 1e-12,
-        "laplacian_mass_ok": lm <= 2.0 * (1.0 + eps) * tv + 1e-12,
+        "g_mass_ok": gm <= 1.05 * tv + 1e-12,
+        "laplacian_mass_ok": lm <= 2.1 * tv + 1e-12,
     }
 
 
@@ -118,12 +102,11 @@ def compare_solutions(
     mu2: DiscreteMeasure,
     rep1: SolveReport,
     rep2: SolveReport,
-    order_tol: float = 1e-8,
 ) -> dict:
     """Comparison and l1 contraction diagnostics for a data pair."""
     grid = rep1.u.grid
     vols = grid.cell_volumes
-    ordered = bool(np.all(rep1.u.values <= rep2.u.values + order_tol))
+    ordered = bool(np.all(rep1.u.values <= rep2.u.values + 1e-8))
     lhs = float(np.sum(np.abs(g(rep1.u.values) - g(rep2.u.values)) * vols))
     rhs = (mu1 - mu2).tv_norm()
     return {

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reduced_measures.grids import (
-    GridFunction,
-    build_grid,
-    integrate,
-    negative_laplacian,
-    sphere_area,
-)
+from reduced_measures.grids import build_grid, negative_laplacian, sphere_area
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.solver import assemble_rhs
 
@@ -119,13 +113,6 @@ def test_radial_green_function_matches_log_profile():
     sample = (r > 0.05) & (r < 0.8)
     exact = np.log(1.0 / r[sample])
     assert np.max(np.abs(u[sample] - exact)) <= 0.01 * np.max(exact)
-
-
-def test_integrate_matches_dot_with_volumes():
-    g = build_grid("radialN", 2.0**-6, dim=3, radius=1.0)
-    values = np.cos(np.linspace(0, 2, g.n_nodes))
-    f = GridFunction(g, values)
-    assert np.isclose(integrate(f), float(np.sum(values * g.cell_volumes)))
 
 
 def test_build_grid_rejects_unknown_kind():

@@ -20,15 +20,14 @@ def test_power_family_closed_form():
     assert g(2.0) == 8.0
     assert g(-2.0) == 0.0
     assert g.deriv(2.0) == 12.0
-    assert g.vanishes_on_negatives and g.convex and g.delta2
-    assert not g.truncated
+    assert g.vanishes_on_negatives and g.convex
 
 
 def test_exponential_families_closed_form():
     e = make_exponential()
     assert e(1.0) == pytest.approx(math.e - 1.0)
     assert e(-1.0) == 0.0
-    assert e.convex and not e.delta2
+    assert e.convex
 
     e2 = make_two_sided_exponential()
     assert e2(1.0) == pytest.approx(math.e - 1.0)
@@ -38,7 +37,6 @@ def test_exponential_families_closed_form():
 
 def test_value_truncation_caps_the_range():
     g = make_power(3.0).truncate(4.0)
-    assert g.truncated and g.truncation_level == 4.0
     base = make_power(3.0)
     for t in SAMPLE:
         assert g(float(t)) == pytest.approx(min(base(float(t)), 4.0))
@@ -67,13 +65,6 @@ def test_reflection_is_the_odd_transpose():
     for t in SAMPLE:
         assert refl(float(t)) == pytest.approx(-odd(-float(t)))
         assert refl(float(t)) == pytest.approx(odd(float(t)))
-
-
-def test_positive_part_of_two_sided_exponential_is_one_sided():
-    pos = make_two_sided_exponential().positive_part()
-    ref = make_exponential()
-    for t in SAMPLE:
-        assert pos(float(t)) == pytest.approx(ref(float(t)))
 
 
 def test_growth_criticality_threshold():

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from reduced_measures import reduction
 from reduced_measures.grids import build_grid
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import (
@@ -21,7 +22,6 @@ from reduced_measures.nonlinearities import (
 )
 from reduced_measures.reduction import (
     calculus_check,
-    goodness_test,
     mollification_schedule,
     oracle_reduced,
     reduce_by_mollification,
@@ -143,6 +143,19 @@ def test_mollification_schedule_respects_the_resolution_floor():
     assert min(radii) >= 4.0 * grid.h
 
 
+def test_mollification_checks_the_whole_schedule_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the schedule was checked")
+
+    monkeypatch.setattr(reduction, "_saturate", no_solve)
+    grid = _disk(2.0**-9)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
+    with pytest.raises(ValueError, match="unresolvable"):
+        reduce_by_mollification(grid, make_exponential(), mu, [0.25, 0.125, 0.0625, 0.001])
+    with pytest.raises(ValueError, match="boundary"):
+        reduce_by_mollification(grid, make_exponential(), mu, [0.25, 1.0])
+
+
 def test_signed_reduction_splits_by_sign():
     # an odd exponential acts on each lobe separately: the negative Dirac
     # erodes exactly like a reflected positive one
@@ -184,18 +197,6 @@ def test_one_sided_absorption_passes_negative_atoms_through():
     assert res.mu_star.atoms == mu.atoms
 
 
-def test_goodness_verdicts():
-    grid = _disk(2.0**-8)
-    g = make_exponential()
-    good = goodness_test(grid, g, DiscreteMeasure.from_atoms(grid, [(0.0, 2 * math.pi)]))
-    assert good["is_good"]
-    assert good["defect"] == 0.0
-
-    bad = goodness_test(grid, g, DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)]))
-    assert not bad["is_good"]
-    assert bad["defect"] > 1.0
-
-
 def test_oracle_closed_forms():
     grid = _disk(2.0**-6)
     big = DiscreteMeasure.from_atoms(grid, [(0.0, 20.0)])
@@ -208,7 +209,6 @@ def test_oracle_closed_forms():
     assert oracle_reduced(neg, "exp2d").atoms == neg.atoms
     # odd growth clamps it symmetrically
     assert oracle_reduced(neg, "exp2d_twosided").atoms == ((0, -FOUR_PI),)
-    assert oracle_reduced(big, "exp2d", threshold=5.0).atoms == ((0, 5.0),)
 
     grid3 = _ball(2.0**-6)
     mixed = DiscreteMeasure.from_atoms(grid3, [(0.0, 1.0), (0.5, -2.0)])
