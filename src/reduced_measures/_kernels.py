@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+MAX_BACKTRACKS = 30
+
 
 def thomas_solve(dl, d, du, b):
     # LAPACK gtsv, which scipy.linalg.solve_banded calls for one sub- and
@@ -25,10 +27,11 @@ def thomas_solve(dl, d, du, b):
     return x
 
 
-def newton(op, g, b, u0, tol, max_iter, max_backtracks):
+def newton(op, g, b, u0, tol, max_iter):
     """Damped Newton on F(u) = L u + g(u) - b with the l1 merit
     sum(|F| vol), halving backtracks, and a Picard step
     (L + lam) u_new = b + lam u - g(u) when the line search stalls.
+    A residual that is not finite (g overflowed) ends the loop unconverged.
 
     Returns ``(u, converged, iterations, residual, residual_trace)``."""
     vols = op.grid.cell_volumes
@@ -42,11 +45,11 @@ def newton(op, g, b, u0, tol, max_iter, max_backtracks):
     trace = []
     it = 0
     stalls = 0
-    while it < max_iter and res > tol:
+    while it < max_iter and tol < res < np.inf:
         step = op.solve(-f, g.deriv(u))
         s = 1.0
         improved = False
-        for _bt in range(max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             u_try = u + s * step
             f_try, res_try = residual(u_try)
             if res_try < res:

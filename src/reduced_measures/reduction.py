@@ -147,7 +147,6 @@ def _run_levels(
 def _saturate(op, g: Nonlinearity, mu: DiscreteMeasure, u0: np.ndarray | None = None) -> np.ndarray:
     """Continue the cap ladder until it goes inactive, returning the
     exact discrete solution for the uncapped nonlinearity."""
-    grid = mu.grid
     u = u0
     cap = 1.0
     for _ in range(40):
@@ -225,19 +224,24 @@ def _fit_atom(
     return float(coef[0])
 
 
+def _clamp_to_atom(a: float, w: float) -> float:
+    """``a`` clamped to the segment between 0 and the atom weight ``w``."""
+    sign = 1.0 if w >= 0 else -1.0
+    return sign * min(max(sign * a, 0.0), abs(w))
+
+
 def _extract_atoms(
     op,
     g: Nonlinearity,
     mu: DiscreteMeasure,
     u_sat: np.ndarray,
-    warm: np.ndarray | None = None,
 ) -> tuple[DiscreteMeasure, dict]:
     """Atom weights of the reduced measure, from the saturated state.
 
     Two passes: a profile fit per atom gives a first candidate, then one
-    matched-reference step re-solves with the candidate measure and fits
-    the flux difference, cancelling the absorption tail and the mesh
-    deficit to first order.
+    matched-reference step re-solves with the candidate measure, starting
+    from ``u_sat``, and fits the flux difference, cancelling the
+    absorption tail and the mesh deficit to first order.
     """
     grid = mu.grid
     h = grid.h
@@ -290,23 +294,20 @@ def _extract_atoms(
         a = 0.0
         if node in profiles:
             a = _fit_atom(ladders[node], profiles[node], h, log_tail)
-        sign = 1.0 if w >= 0 else -1.0
-        candidate[node] = sign * min(max(sign * a, 0.0), abs(w))
+        candidate[node] = _clamp_to_atom(a, w)
 
     needs_reference = any(
         abs(candidate[node] - w) > 1e-12 * max(1.0, abs(w)) for node, w in mu.atoms
     )
     info = {"first_fit": dict(candidate), "reference_step": None}
-    if needs_reference and atom_nodes:
-        mu_ref = DiscreteMeasure(
-            grid, mu.density, tuple((n, w) for n, w in candidate.items() if w != 0.0)
-        )
-        u_ref = _saturate(op, g, mu_ref, u0=warm)
+    if needs_reference:
+        mu_ref = DiscreteMeasure(grid, mu.density, tuple(candidate.items()))
+        u_ref = _saturate(op, g, mu_ref, u0=u_sat)
         d_ref = assemble_rhs(grid, mu_ref) * vols
         a_ref = g(u_ref) * vols
         steps = {}
         for node, w in mu.atoms:
-            if node not in candidate or (w < 0 and g.vanishes_on_negatives):
+            if w < 0 and g.vanishes_on_negatives:
                 continue
             radii = ladders[node]
             if len(radii) < 2:
@@ -318,15 +319,11 @@ def _extract_atoms(
             )
             coef, *_ = np.linalg.lstsq(cols, diff, rcond=None)
             step = float(coef[0])
-            sign = 1.0 if w >= 0 else -1.0
-            candidate[node] = sign * min(
-                max(sign * (candidate[node] + step), 0.0), abs(w)
-            )
+            candidate[node] = _clamp_to_atom(candidate[node] + step, w)
             steps[node] = step
         info["reference_step"] = steps
 
-    atoms = tuple((node, candidate[node]) for node in atom_nodes if candidate[node] != 0.0)
-    return DiscreteMeasure(grid, mu.density, atoms), info
+    return DiscreteMeasure(grid, mu.density, tuple(candidate.items())), info
 
 
 def _limit(
@@ -334,16 +331,18 @@ def _limit(
     g: Nonlinearity,
     mu: DiscreteMeasure,
     u: np.ndarray,
-    warm: np.ndarray,
-) -> tuple[DiscreteMeasure, dict, np.ndarray]:
-    """The limit step shared by every scheme: continue from the state
-    ``u`` to the saturated solution for ``mu``, read the reduced measure
-    off its flux profiles, and return it with the extraction info and
-    the solution it generates.  ``warm`` starts the extractor's
-    reference solve."""
+    exact: bool,
+) -> tuple[DiscreteMeasure, np.ndarray, dict | None]:
+    """The limit step shared by every scheme, from the state ``u`` its cap
+    march on ``mu`` ended in.  Returns the reduced measure, the solution it
+    generates and the extraction info: None when ``exact``, as ``u`` then
+    solves the uncapped problem and the datum survives whole.  Otherwise
+    saturate once, extract, and start both later solves from there."""
+    if exact:
+        return mu, u, None
     u_sat = _saturate(op, g, mu, u0=u)
-    mu_star, info = _extract_atoms(op, g, mu, u_sat, warm=warm)
-    return mu_star, info, _saturate(op, g, mu_star, u0=u)
+    mu_star, info = _extract_atoms(op, g, mu, u_sat)
+    return mu_star, _saturate(op, g, mu_star, u0=u_sat), info
 
 
 def reduce_by_truncation(
@@ -381,13 +380,7 @@ def reduce_by_truncation(
     if keep_iterates:
         diagnostics["iterates"] = iterates
 
-    if exact:
-        # the cap went inactive: the march state already solves the
-        # untruncated problem and the datum survives whole
-        mu_star = mu
-        u_limit = u
-    else:
-        mu_star, diagnostics["extraction"], u_limit = _limit(op, g, mu, u, warm=u)
+    mu_star, u_limit, diagnostics["extraction"] = _limit(op, g, mu, u, exact)
 
     return ReducedResult(
         u_star=GridFunction(grid, u_limit),
@@ -430,7 +423,6 @@ def reduce_by_mollification(
     schedule=None,
     *,
     seq_tol: float | None = None,
-    op=None,
 ) -> ReducedResult:
     """Mollification scheme: smooth the datum at shrinking kernel radii
     and solve the uncapped equation at each level.  For convex g this
@@ -440,8 +432,7 @@ def reduce_by_mollification(
     schedule = check_mollification_schedule(mu, schedule)
     if seq_tol is None:
         seq_tol = _default_seq_tol(grid)
-    if op is None:
-        op = negative_laplacian(grid)
+    op = negative_laplacian(grid)
 
     vols = grid.cell_volumes
     u = None
@@ -475,15 +466,8 @@ def reduce_by_mollification(
         u_cls, _, _, exact = _run_levels(
             op, g, mu, truncation_schedule(), seq_tol, u0=u
         )
-        diagnostics["exact"] = exact
-        if exact:
-            mu_star = mu
-            converged = True
-            u_limit = u_cls
-        else:
-            mu_star, diagnostics["extraction"], u_limit = _limit(
-                op, g, mu, u_cls, warm=u
-            )
+        diagnostics["exact"] = converged = exact
+        mu_star, u_limit, diagnostics["extraction"] = _limit(op, g, mu, u_cls, exact)
 
     return ReducedResult(
         u_star=GridFunction(grid, u_limit),
@@ -502,7 +486,6 @@ def reduce_signed(
     schedule=None,
     *,
     seq_tol: float | None = None,
-    op=None,
 ) -> ReducedResult:
     """Signed datum: reduce the positive part under g and the negative
     part under the reflection s -> -g(-s), then recombine.
@@ -512,8 +495,7 @@ def reduce_signed(
     generate) are compared in the diagnostics: the split-recombine
     formula and the direct scheme must identify the same limit.
     """
-    if op is None:
-        op = negative_laplacian(grid)
+    op = negative_laplacian(grid)
     if seq_tol is None:
         seq_tol = _default_seq_tol(grid)
 
@@ -560,40 +542,34 @@ def reduce_signed(
 # --- closed-form oracles -----------------------------------------------------
 
 
-def oracle_reduced(mu: DiscreteMeasure, model: str) -> DiscreteMeasure:
-    """Closed-form reduced measure for the model families.
+def oracle_reduced(mu: DiscreteMeasure, g: Nonlinearity) -> DiscreteMeasure:
+    """Closed-form reduced measure, chosen by ``g`` and the grid's dimension.
 
-    subcritical_power   every measure is good: the datum itself.
-    supercritical_power positive atoms are wiped out, everything else passes.
-    exp2d               positive atom weights clamp at the threshold 4*pi.
-    exp2d_twosided      both signs clamp at +-4*pi.
-    Densities pass through unchanged in every model.
+    subcritical g       every measure is good: the datum itself.
+    power, otherwise    atoms are wiped out.
+    exp in 2-d          atom weights clamp at the threshold 4*pi.
+    Atoms of a sign that g does not absorb, and densities, pass unchanged.
+    Any other case has no closed form here and raises ValueError.
     """
-    if model == "subcritical_power":
+    dim = mu.grid.dim
+    if g.subcritical_for(dim):
         return mu
-    if model == "supercritical_power":
-        atoms = tuple((n, w) for n, w in mu.atoms if w < 0)
-        return DiscreteMeasure(mu.grid, mu.density, atoms)
-    if model == "exp2d":
-        atoms = tuple(
-            (n, min(w, FOUR_PI) if w > 0 else w) for n, w in mu.atoms
-        )
-        return DiscreteMeasure(mu.grid, mu.density, atoms)
-    if model == "exp2d_twosided":
-        atoms = tuple(
-            (n, math.copysign(min(abs(w), FOUR_PI), w)) for n, w in mu.atoms
-        )
-        return DiscreteMeasure(mu.grid, mu.density, atoms)
-    raise ValueError(f"unknown oracle model: {model!r}")
+    if g.kind == "power":
+        cap = 0.0
+    elif dim == 2:
+        cap = FOUR_PI
+    else:
+        raise ValueError(f"no closed-form reduction for {g.kind!r} in dimension {dim}")
+    atoms = tuple(
+        (n, w if w < 0 and g.vanishes_on_negatives else math.copysign(min(abs(w), cap), w))
+        for n, w in mu.atoms
+    )
+    return DiscreteMeasure(mu.grid, mu.density, atoms)
 
 
-def calculus_check(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    model: str = "exp2d",
-) -> dict:
-    """Evaluate the algebra of the reduction map R on a pair of measures
-    and report the violation of each identity as a tv distance.
+def calculus_check(mu: DiscreteMeasure, nu: DiscreteMeasure, g: Nonlinearity) -> dict:
+    """Evaluate the algebra of the reduction map R under ``g`` on a pair of
+    measures and report the violation of each identity as a tv distance.
 
     On the model families R acts on atom weights by a monotone
     1-Lipschitz clamp, so all identities hold exactly in floating point;
@@ -601,7 +577,7 @@ def calculus_check(
     """
 
     def R(m: DiscreteMeasure) -> DiscreteMeasure:
-        return oracle_reduced(m, model)
+        return oracle_reduced(m, g)
 
     out: dict[str, float] = {}
 
@@ -629,7 +605,7 @@ def calculus_check(
     out["positive_part_commutes"] = tv_distance(
         R(mu).positive_part(), R(mu.positive_part())
     )
-    if model in ("exp2d", "subcritical_power", "supercritical_power"):
+    if g.vanishes_on_negatives:
         # with no absorption on the negative side the negative part is
         # never touched by the reduction
         out["negative_part_passes"] = tv_distance(
@@ -653,7 +629,6 @@ def weak_l1_stability_experiment(
     *,
     frequencies=(8, 16, 32, 64),
     stages=(1.0 / 8, 1.0 / 32, 1.0 / 128, 1.0 / 512),
-    op=None,
 ) -> dict:
     """Two canonical forcing families with bounded total variation.
 
@@ -663,8 +638,7 @@ def weak_l1_stability_experiment(
                     data concentrate onto a point while solutions of the
                     supercritical problem collapse toward zero.
     """
-    if op is None:
-        op = negative_laplacian(grid)
+    op = negative_laplacian(grid)
     vols = grid.cell_volumes
 
     if scenario == "oscillating":

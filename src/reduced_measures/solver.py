@@ -21,7 +21,6 @@ from .nonlinearities import Nonlinearity
 
 DEFAULT_TOL = 1e-9
 MAX_ITER = 80
-MAX_BACKTRACKS = 30
 
 
 @dataclass
@@ -56,9 +55,7 @@ def solve_semilinear(
     u0 = np.asarray(u0, dtype=float)
     # the residual is an L1 mass, so judge it relative to the datum mass
     tol = tol * max(1.0, float(np.sum(np.abs(b) * grid.cell_volumes)))
-    u, conv, it, res, trace = _kernels.newton(
-        op, g, b, u0, tol, max_iter, MAX_BACKTRACKS
-    )
+    u, conv, it, res, trace = _kernels.newton(op, g, b, u0, tol, max_iter)
     if not conv and len(trace) >= 10 and res <= 100.0 * tol:
         # on fine meshes the residual bottoms out at the roundoff floor
         # of the direct solve; a flat tail just above tol is convergence

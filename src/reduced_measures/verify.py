@@ -26,7 +26,6 @@ from . import capacity as cap
 from .grids import build_grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .nonlinearities import (
-    Nonlinearity,
     make_exponential,
     make_power,
     make_two_sided_exponential,
@@ -41,7 +40,6 @@ from .reduction import (
     weak_l1_stability_experiment,
 )
 from .solver import (
-    assemble_rhs,
     check_apriori_estimates,
     compare_solutions,
     solve_semilinear,
@@ -284,7 +282,7 @@ def check_calculus(seed: int = 303, count: int = 200) -> CheckResult:
                 (int(a), float(rng.uniform(-20.0, 20.0))) for a in atom_nodes
             )
             return DiscreteMeasure(grid, density, atoms)
-        out = calculus_check(mk(pool[:split]), mk(pool[split:]), "exp2d")
+        out = calculus_check(mk(pool[:split]), mk(pool[split:]), make_exponential())
         worst = max(worst, out["max_violation"])
     return CheckResult(
         "calculus-identities",
@@ -294,34 +292,21 @@ def check_calculus(seed: int = 303, count: int = 200) -> CheckResult:
 
 
 def check_oracle_agreement() -> CheckResult:
-    """Numeric reduced measures against the closed-form ones."""
+    """Numeric reduced measures against the closed-form ones, each chosen
+    by its nonlinearity and the grid's dimension."""
+    cases = [
+        ("exp_c=2pi", 2.0**-11, 2, make_exponential(), 2 * math.pi),
+        ("exp_c=8pi", 2.0**-11, 2, make_exponential(), 8 * math.pi),
+        ("subcritical_p2", 2.0**-12, 3, make_power(2.0), 1.0),
+        ("supercritical_p6", 2.0**-14, 3, make_power(6.0), 1.0),
+    ]
     details: dict = {}
-    passed = True
-
-    g = make_exponential()
-    for c in (2 * math.pi, 8 * math.pi):
-        grid = build_grid("radialN", 2.0**-11, dim=2, radius=1.0)
+    for key, h, dim, g, c in cases:
+        grid = build_grid("radialN", h, dim=dim, radius=1.0)
         mu = DiscreteMeasure.from_atoms(grid, [(0.0, c)])
         res = reduce_by_truncation(grid, g, mu)
-        gap = tv_distance(res.mu_star, oracle_reduced(mu, "exp2d"))
-        rel = gap / mu.tv_norm()
-        details[f"exp_c={c / math.pi:.0f}pi"] = rel
-        passed = passed and rel <= 0.10
-
-    grid = build_grid("radialN", 2.0**-12, dim=3, radius=1.0)
-    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 1.0)])
-    res = reduce_by_truncation(grid, make_power(2.0), mu)
-    rel = tv_distance(res.mu_star, oracle_reduced(mu, "subcritical_power")) / mu.tv_norm()
-    details["subcritical_p2"] = rel
-    passed = passed and rel <= 0.10
-
-    grid = build_grid("radialN", 2.0**-14, dim=3, radius=1.0)
-    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 1.0)])
-    res = reduce_by_truncation(grid, make_power(6.0), mu)
-    rel = tv_distance(res.mu_star, oracle_reduced(mu, "supercritical_power")) / mu.tv_norm()
-    details["supercritical_p6"] = rel
-    passed = passed and rel <= 0.10
-
+        details[key] = tv_distance(res.mu_star, oracle_reduced(mu, g)) / mu.tv_norm()
+    passed = all(v <= 0.10 for v in details.values())
     return CheckResult("oracle-agreement", passed, details)
 
 

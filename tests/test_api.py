@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import reduced_measures
@@ -30,3 +33,22 @@ def test_deleted_names_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in reduced_measures.__all__
     assert not hasattr(reduced_measures, name)
+
+
+# a linter's unused-import rule, without adding a linter to the toolchain;
+# __init__ imports names only to export them
+PACKAGE_DIR = Path(reduced_measures.__file__).parent
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert imported <= used, sorted(imported - used)

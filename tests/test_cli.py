@@ -51,6 +51,22 @@ def test_solve_writes_solution_and_diagnostics(tmp_path):
     assert len(rows) == 64  # header + one row per node
 
 
+def test_solver_failure_exits_with_code_three(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "solve.json",
+        {
+            "grid": {"kind": "radialN", "h": 2.0**-10, "dim": 2, "radius": 1.0},
+            "nonlinearity": {"kind": "exp"},
+            "measure": {"atoms": [{"at": 0.0, "weight": 5000.0}]},
+        },
+    )
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER
+    diag = json.loads((out / "solve_diagnostics.json").read_text())
+    assert diag["converged"] is False
+
+
 def test_reduce_reports_the_clamped_atom(tmp_path):
     cfg = _reduce_config(tmp_path)
     out = tmp_path / "out"

@@ -202,21 +202,26 @@ def test_oracle_closed_forms():
     big = DiscreteMeasure.from_atoms(grid, [(0.0, 20.0)])
     small = DiscreteMeasure.from_atoms(grid, [(0.0, 5.0)])
     neg = DiscreteMeasure.from_atoms(grid, [(0.0, -20.0)])
+    g_exp = make_exponential()
 
-    assert oracle_reduced(big, "exp2d").atoms == ((0, FOUR_PI),)
-    assert oracle_reduced(small, "exp2d").atoms == small.atoms
+    assert oracle_reduced(big, g_exp).atoms == ((0, FOUR_PI),)
+    assert oracle_reduced(small, g_exp).atoms == small.atoms
     # one-sided growth never erodes the negative lobe
-    assert oracle_reduced(neg, "exp2d").atoms == neg.atoms
+    assert oracle_reduced(neg, g_exp).atoms == neg.atoms
     # odd growth clamps it symmetrically
-    assert oracle_reduced(neg, "exp2d_twosided").atoms == ((0, -FOUR_PI),)
+    assert oracle_reduced(neg, make_two_sided_exponential()).atoms == ((0, -FOUR_PI),)
+    # every power is subcritical in the plane
+    assert oracle_reduced(big, make_power(6.0)) is big
 
     grid3 = _ball(2.0**-6)
     mixed = DiscreteMeasure.from_atoms(grid3, [(0.0, 1.0), (0.5, -2.0)])
     node_neg = mixed.atoms[1][0]
-    assert oracle_reduced(mixed, "supercritical_power").atoms == ((node_neg, -2.0),)
-    assert oracle_reduced(mixed, "subcritical_power").atoms == mixed.atoms
+    assert oracle_reduced(mixed, make_power(6.0)).atoms == ((node_neg, -2.0),)
+    assert oracle_reduced(mixed, make_power(2.0)) is mixed
+    # the reflection of a one-sided g absorbs nothing
+    assert oracle_reduced(mixed, make_power(6.0).reflected()) is mixed
     with pytest.raises(ValueError):
-        oracle_reduced(big, "cubic")
+        oracle_reduced(mixed, g_exp)
 
 
 def test_reduction_calculus_identities():
@@ -225,7 +230,7 @@ def test_reduction_calculus_identities():
     nu = DiscreteMeasure.from_atoms(grid, [(0.0, 15.0)]) + DiscreteMeasure.from_density(
         grid, 1.0
     )
-    out = calculus_check(mu, nu)
+    out = calculus_check(mu, nu, make_exponential())
     assert out["max_violation"] == 0.0
     for key in (
         "sup_identity",
@@ -236,6 +241,37 @@ def test_reduction_calculus_identities():
         "diffuse_shift",
     ):
         assert out[key] <= 1e-12
+    # odd absorption erodes the negative part too, so that identity is not checked
+    out = calculus_check(-mu, nu, make_two_sided_exponential())
+    assert "negative_part_passes" not in out
+    assert out["max_violation"] == 0.0
+
+
+def test_limit_step_starts_both_later_solves_from_the_saturated_state(monkeypatch):
+    calls = []
+    saturate = reduction._saturate
+
+    def recording(op, g, mu, u0=None):
+        u = saturate(op, g, mu, u0=u0)
+        calls.append((u0, u))
+        return u
+
+    monkeypatch.setattr(reduction, "_saturate", recording)
+    grid = _disk(2.0**-9)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
+    reduce_by_truncation(grid, make_exponential(), mu)
+    assert len(calls) == 3  # saturate, extractor's reference solve, re-solve
+    u_sat = calls[0][1]
+    assert calls[1][0] is u_sat
+    assert calls[2][0] is u_sat
+
+
+def test_large_exponential_atom_reduces_without_overflow():
+    grid = _disk(2.0**-10)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 500.0)])
+    res = reduce_by_truncation(grid, make_exponential(), mu)
+    ((_, weight),) = res.mu_star.atoms
+    assert 0.0 < weight <= FOUR_PI
 
 
 def test_oscillating_data_converge_weakly_without_defect():

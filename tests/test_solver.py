@@ -108,6 +108,15 @@ def test_warm_start_accelerates_the_newton_loop():
     assert np.allclose(warm.u.values, cold.u.values, atol=1e-9)
 
 
+def test_overflowing_start_is_an_unconverged_solve():
+    # the linear solution of a huge planar atom overflows e^u at the core
+    grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
+    rep = solve_semilinear(negative_laplacian(grid), make_exponential(), mu)
+    assert not rep.converged
+    assert not math.isfinite(rep.residual_l1)
+
+
 def test_sparse_and_tridiagonal_paths_share_semantics():
     # the rect2d operator is pentadiagonal and runs the sparse Newton path;
     # a slab-constant datum on a wide rectangle reproduces the 1d profile
