@@ -21,6 +21,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -70,22 +71,24 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _jsonable(obj):
+    """Plain JSON values; a float that is not finite becomes null, which
+    strict JSON parsers accept where they reject NaN and Infinity."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -141,6 +144,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         os.path.join(out_dir, "solve_diagnostics.json"),
         {
             "converged": bool(report.converged),
+            "stop_reason": report.stop_reason,
             "iterations": int(report.iterations),
             "residual_l1": float(report.residual_l1),
             "gmass": g_mass(grid, g, report.u.values),

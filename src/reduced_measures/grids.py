@@ -270,6 +270,15 @@ class LinearOperator:
             return out
         return self._csr @ values
 
+    def abs_weights(self) -> np.ndarray:
+        """w with w @ |u| = sum(vol * (|L| @ |u|)) for every u.
+
+        diag(vol) L is symmetric, so column j of |L| weighted by vol sums to
+        vol_j times row j of |L|, and for an M-matrix that row sum is
+        2 L_jj - (L 1)_j."""
+        diag = self.d if self.is_tridiagonal else self._csr.diagonal()
+        return self.grid.cell_volumes * (2.0 * diag - self.apply(np.ones(self.grid.n_nodes)))
+
     def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve (L + diag(shift)) x = rhs; shift >= 0 keeps the M-matrix.
 

@@ -108,7 +108,7 @@ def _run_levels(
         report = solve_semilinear(op, g_n, mu, u0=u)
         if not report.converged:
             raise RuntimeError(
-                f"level n={n} failed to converge "
+                f"level n={n} failed to converge: stopped on {report.stop_reason} "
                 f"(residual {report.residual_l1:.3e}, trace {report.method_trace})"
             )
         u_new = report.u.values
@@ -153,7 +153,10 @@ def _saturate(op, g: Nonlinearity, mu: DiscreteMeasure, u0: np.ndarray | None = 
         g_n = g.truncate(cap)
         report = solve_semilinear(op, g_n, mu, u0=u)
         if not report.converged:
-            raise RuntimeError(f"saturation solve stalled at cap {cap}")
+            raise RuntimeError(
+                f"saturation solve at cap {cap} stopped on {report.stop_reason} "
+                f"(residual {report.residual_l1:.3e})"
+            )
         u = report.u.values
         if float(np.max(np.abs(g(u)))) < 0.5 * cap:
             return u

@@ -6,6 +6,11 @@ weighted) merit function, backtracking line search, and a Picard
 fallback step when the line search stalls.  Each step solves with the
 shifted operator L + diag(s): banded elimination on tridiagonal grids,
 a fresh sparse LU on rect2d.
+
+A solve converges when its l1 residual meets ``tol`` times the datum
+mass, or when it has stopped contracting within the rounding floor of
+F, which on fine meshes lies above that tolerance.  ``SolveReport``
+says which (``stop_reason``), or why the solve failed.
 """
 
 from __future__ import annotations
@@ -25,11 +30,19 @@ MAX_ITER = 80
 
 @dataclass
 class SolveReport:
+    """``stop_reason`` is one of ``tol``, ``floor`` (converged) and
+    ``max_iter``, ``stalled``, ``nonfinite`` (failed); see
+    ``_kernels.newton``."""
+
     u: GridFunction
-    converged: bool
+    stop_reason: str
     iterations: int
     residual_l1: float
     method_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("tol", "floor")
 
 
 def assemble_rhs(grid: Grid, mu: DiscreteMeasure) -> np.ndarray:
@@ -55,14 +68,8 @@ def solve_semilinear(
     u0 = np.asarray(u0, dtype=float)
     # the residual is an L1 mass, so judge it relative to the datum mass
     tol = tol * max(1.0, float(np.sum(np.abs(b) * grid.cell_volumes)))
-    u, conv, it, res, trace = _kernels.newton(op, g, b, u0, tol, max_iter)
-    if not conv and len(trace) >= 10 and res <= 100.0 * tol:
-        # on fine meshes the residual bottoms out at the roundoff floor
-        # of the direct solve; a flat tail just above tol is convergence
-        tail = np.min(trace[-10:])
-        if tail >= 0.5 * np.min(trace):
-            conv = True
-    return SolveReport(GridFunction(grid, u), bool(conv), int(it), float(res), trace)
+    u, reason, it, res, trace = _kernels.newton(op, g, b, u0, tol, max_iter)
+    return SolveReport(GridFunction(grid, u), reason, it, res, trace)
 
 
 def g_mass(grid: Grid, g: Nonlinearity, u: np.ndarray) -> float:

@@ -43,6 +43,7 @@ def test_solve_writes_solution_and_diagnostics(tmp_path):
 
     diag = json.loads((out / "solve_diagnostics.json").read_text())
     assert diag["converged"] is True
+    assert diag["stop_reason"] == "tol"
     assert diag["residual_l1"] <= 1e-6
 
     with open(out / "solution.csv", newline="") as fh:
@@ -63,8 +64,15 @@ def test_solver_failure_exits_with_code_three(tmp_path):
     )
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER
-    diag = json.loads((out / "solve_diagnostics.json").read_text())
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = (out / "solve_diagnostics.json").read_text()
+    diag = json.loads(text, parse_constant=reject)
     assert diag["converged"] is False
+    assert diag["stop_reason"] == "nonfinite"
+    assert diag["residual_l1"] is None
 
 
 def test_reduce_reports_the_clamped_atom(tmp_path):

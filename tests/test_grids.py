@@ -59,9 +59,12 @@ def test_boundary_ring_and_interior_are_disjoint():
 
 
 def test_operator_is_an_m_matrix_and_apply_matches_matrix():
+    rng = np.random.default_rng(5)
     for g in (
         build_grid("radialN", 2.0**-6, dim=2, radius=1.0),
+        build_grid("radialN", 2.0**-6, dim=3, radius=1.0),
         build_grid("interval1d", 2.0**-6, length=1.0),
+        build_grid("rect2d", 2.0**-4, extents=(1.0, 0.5)),
     ):
         op = negative_laplacian(g)
         mat = op.matrix.tocsr()
@@ -73,6 +76,12 @@ def test_operator_is_an_m_matrix_and_apply_matches_matrix():
 
         x = np.sin(np.linspace(0, 3, g.n_nodes))
         assert np.allclose(op.apply(x), mat @ x)
+
+        # the weights behind the residual floor: w @ |u| = sum(vol |L| |u|)
+        w = op.abs_weights()
+        for u in (x, rng.normal(size=g.n_nodes)):
+            direct = float(np.sum(g.cell_volumes * (abs(mat) @ np.abs(u))))
+            assert float(w @ np.abs(u)) == pytest.approx(direct, rel=1e-13)
 
 
 def test_shifted_solve_matches_dense_reference():

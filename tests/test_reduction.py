@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from reduced_measures import reduction
-from reduced_measures.grids import build_grid
+from reduced_measures.grids import build_grid, negative_laplacian
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import (
     make_exponential,
@@ -264,6 +264,23 @@ def test_limit_step_starts_both_later_solves_from_the_saturated_state(monkeypatc
     u_sat = calls[0][1]
     assert calls[1][0] is u_sat
     assert calls[2][0] is u_sat
+
+
+def test_failed_solves_raise_with_their_stop_reason(monkeypatch):
+    solve = reduction.solve_semilinear
+    monkeypatch.setattr(
+        reduction,
+        "solve_semilinear",
+        lambda op, g, mu, u0=None: solve(op, g, mu, u0=u0, max_iter=1),
+    )
+    grid = _disk(2.0**-7)
+    op = negative_laplacian(grid)
+    g = make_exponential()
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
+    with pytest.raises(RuntimeError, match="level n=1.0 .* stopped on max_iter"):
+        reduction._run_levels(op, g, mu, [1.0], seq_tol=1e-7)
+    with pytest.raises(RuntimeError, match="cap 1.0 stopped on max_iter"):
+        reduction._saturate(op, g, mu)
 
 
 def test_large_exponential_atom_reduces_without_overflow():

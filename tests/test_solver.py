@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reduced_measures import _kernels
 from reduced_measures.grids import build_grid, negative_laplacian
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import (
@@ -108,11 +109,40 @@ def test_warm_start_accelerates_the_newton_loop():
     assert np.allclose(warm.u.values, cold.u.values, atol=1e-9)
 
 
+def test_capped_fine_radial_solve_stops_at_the_roundoff_floor():
+    # the mass-scaled tolerance lies below the rounding floor of the
+    # residual on this mesh, so the solve stops on the floor
+    grid = build_grid("radialN", 2.0**-13, dim=3, radius=1.0)
+    op = negative_laplacian(grid)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 1.0)])
+    g = make_power(3.0).truncate(1024.0)
+    rep = solve_semilinear(op, g, mu)
+    assert rep.stop_reason == "floor" and rep.converged
+    assert rep.iterations <= 10
+
+    vols = grid.cell_volumes
+    b = assemble_rhs(grid, mu)
+    u = rep.u.values
+    mass = float(np.sum(np.abs(b) * vols))
+    rounding = float(op.abs_weights() @ np.abs(u) + np.sum(np.abs(g(u)) * vols)) + mass
+    assert 1e-9 * mass < rep.residual_l1 <= _kernels.FLOOR_FACTOR * _kernels.EPS * rounding
+
+
+def test_solve_cut_at_max_iter_says_so():
+    grid, op = _interval()
+    mu = DiscreteMeasure.from_density(grid, 6.0)
+    rep = solve_semilinear(op, make_exponential(), mu, max_iter=1)
+    assert rep.stop_reason == "max_iter"
+    assert not rep.converged
+    assert rep.iterations == 1
+
+
 def test_overflowing_start_is_an_unconverged_solve():
     # the linear solution of a huge planar atom overflows e^u at the core
     grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
     rep = solve_semilinear(negative_laplacian(grid), make_exponential(), mu)
+    assert rep.stop_reason == "nonfinite"
     assert not rep.converged
     assert not math.isfinite(rep.residual_l1)
 
