@@ -2,8 +2,8 @@
 
 ``newton`` is the one semilinear solve loop.  It sees the operator only
 through ``apply``, ``solve`` with a diagonal shift and ``abs_weights``, so
-tridiagonal grids (banded solves) and rect2d (sparse LU) run the same
-iteration.  It stops at the caller's tolerance or, where that tolerance
+tridiagonal grids (banded solves) and rect2d (preconditioned CG) run the
+same iteration.  It stops at the caller's tolerance or, where that tolerance
 lies below what floating point can resolve, at the rounding floor of the
 residual, and it returns the reason it stopped.
 """
@@ -107,7 +107,7 @@ def newton(op, g, b, u0, tol, max_iter):
         else:
             stalls += 1
             lam = float(np.max(g.deriv(u))) + 1.0
-            u = op.solve(b + lam * u - g(u), np.full(u.shape, lam))
+            u = op.solve(b + lam * u - g(u), lam)
             f, res = residual(u)
         trace.append(res)
     return u, reason, len(trace), res, np.asarray(trace)

@@ -5,7 +5,7 @@ The semilinear solver is the damped Newton iteration of
 weighted) merit function, backtracking line search, and a Picard
 fallback step when the line search stalls.  Each step solves with the
 shifted operator L + diag(s): banded elimination on tridiagonal grids,
-a fresh sparse LU on rect2d.
+CG preconditioned by a sine-transform Poisson solve on rect2d.
 
 A solve converges when its l1 residual meets ``tol`` times the datum
 mass, or when it has stopped contracting within the rounding floor of

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from reduced_measures import grids
 from reduced_measures.grids import build_grid, negative_laplacian, sphere_area
 from reduced_measures.measures import DiscreteMeasure
+from reduced_measures.nonlinearities import make_exponential
+from reduced_measures.reduction import reduce_signed
 from reduced_measures.solver import assemble_rhs
+
+
+def _forbid_factoring(monkeypatch):
+    def splu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(grids.spla, "splu", splu)
 
 
 def test_cell_volumes_partition_the_domain_minus_boundary_layer():
@@ -98,6 +108,66 @@ def test_shifted_solve_matches_dense_reference():
             shifted = dense if shift is None else dense + np.diag(shift)
             expect = np.linalg.solve(shifted, rhs)
             assert np.allclose(op.solve(rhs, shift), expect, rtol=1e-10, atol=1e-12)
+
+
+def _jacobian_like_shift(g, rng, peak):
+    # g'(u) of an absorbed atom: a bump of width ~2h reaching s h^2 = peak,
+    # randomly modulated so that it has no symmetry
+    r2 = np.sum((g.nodes - g.nodes[g.n_nodes // 3]) ** 2, axis=1)
+    return peak / g.h**2 * np.exp(-r2 / (2.0 * g.h) ** 2) * rng.uniform(0.5, 1.0, g.n_nodes)
+
+
+def test_rect2d_solve_matches_dense_reference_without_factoring(monkeypatch):
+    # no shift and a constant one are one sine-transform pair; Newton
+    # shifts up to s h^2 = 20 go through preconditioned CG
+    _forbid_factoring(monkeypatch)
+    rng = np.random.default_rng(11)
+    for g in (
+        build_grid("rect2d", 2.0**-5, extents=(1.0, 1.0)),
+        build_grid("rect2d", 2.0**-4, extents=(1.0, 2.0)),
+    ):
+        op = negative_laplacian(g)
+        dense = op.matrix.toarray()
+        shifts = [_jacobian_like_shift(g, rng, m) for m in (0.0, 0.01, 1.0, 20.0)]
+        for shift in shifts + [3.0 / g.h**2, None]:
+            rhs = rng.normal(size=g.n_nodes)
+            shifted = dense if shift is None else dense + np.diag(np.broadcast_to(shift, g.n_nodes))
+            expect = np.linalg.solve(shifted, rhs)
+            assert np.allclose(op.solve(rhs, shift), expect, rtol=1e-10, atol=1e-12)
+
+
+def test_rect2d_solve_factors_only_where_cg_reaches_its_cap(monkeypatch):
+    calls = []
+    real_splu = grids.spla.splu
+    monkeypatch.setattr(grids.spla, "splu", lambda mat: calls.append(mat) or real_splu(mat))
+    rng = np.random.default_rng(12)
+    g = build_grid("rect2d", 2.0**-5, extents=(1.0, 1.0))
+    op = negative_laplacian(g)
+    dense = op.matrix.toarray()
+    x, y = g.nodes[:, 0], g.nodes[:, 1]
+    patch = (np.abs(x - 0.5) < 0.25) & (np.abs(y - 0.5) < 0.25)
+    for shift, factored in (
+        (_jacobian_like_shift(g, rng, 20.0), 0),
+        # s h^2 up to 1e3 on a central patch: CG needs far more than its cap
+        (np.where(patch, rng.uniform(0.0, 1e3, g.n_nodes) / g.h**2, 0.0), 1),
+    ):
+        rhs = rng.normal(size=g.n_nodes)
+        expect = np.linalg.solve(dense + np.diag(shift), rhs)
+        assert np.allclose(op.solve(rhs, shift), expect, rtol=1e-10, atol=1e-12)
+        assert len(calls) == factored
+
+
+def test_rect2d_signed_reduction_factors_nothing(monkeypatch):
+    _forbid_factoring(monkeypatch)
+    grid = build_grid("rect2d", 2.0**-5, extents=(2.0, 1.0))
+    mu = DiscreteMeasure.from_atoms(
+        grid, [((0.5, 0.5), 8 * math.pi), ((1.5, 0.5), -8 * math.pi)]
+    )
+    res = reduce_signed(grid, make_exponential(), mu)
+    assert res.converged
+    weights = sorted(w for _, w in res.mu_star.atoms)
+    assert weights[0] == pytest.approx(-8 * math.pi)  # one-sided g: passes whole
+    assert 0.0 < weights[-1] < 8 * math.pi
 
 
 def test_interval_green_function_is_exact_at_nodes():

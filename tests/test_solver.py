@@ -148,9 +148,9 @@ def test_overflowing_start_is_an_unconverged_solve():
 
 
 def test_sparse_and_tridiagonal_paths_share_semantics():
-    # the rect2d operator is pentadiagonal and runs the sparse Newton path;
-    # a slab-constant datum on a wide rectangle reproduces the 1d profile
-    # away from the short edges
+    # the rect2d operator is pentadiagonal and its Newton steps run
+    # sine-transform-preconditioned CG; a slab-constant datum on a wide
+    # rectangle reproduces the 1d profile away from the short edges
     grid2 = build_grid("rect2d", 2.0**-5, extents=(4.0, 1.0))
     op2 = negative_laplacian(grid2)
     g = make_power(2.0)
