@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -347,7 +346,7 @@ def _sweep_cell(base: dict, parameter: str, value: float) -> tuple[list, float]:
     return row, time.perf_counter() - start
 
 
-def run_sweep(raw: dict, out_dir: str, threads: int) -> int:
+def run_sweep(raw: dict, out_dir: str) -> int:
     if not isinstance(raw, dict) or "base" not in raw or "sweep" not in raw:
         raise ConfigError("sweep config needs 'base' and 'sweep' sections")
     base = raw["base"]
@@ -366,12 +365,7 @@ def run_sweep(raw: dict, out_dir: str, threads: int) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep values must be numbers, got {values!r}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda v: _sweep_cell(base, parameter, v), values))
-    else:
-        cells = [_sweep_cell(base, parameter, v) for v in values]
-
+    cells = [_sweep_cell(base, parameter, v) for v in values]
     rows = [row for row, _ in cells]
     _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_COLUMNS, rows)
     _write_csv(
@@ -397,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        if name == "sweep":
-            p.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     verify_parser = sub.add_parser("verify")
     verify_parser.add_argument(
@@ -428,11 +420,7 @@ def main(argv=None) -> int:
         if args.command == "capacity":
             return run_capacity(read_config(args.config), _resolve_out_dir(args))
         if args.command == "sweep":
-            return run_sweep(
-                read_config(args.config),
-                _resolve_out_dir(args),
-                max(1, args.threads),
-            )
+            return run_sweep(read_config(args.config), _resolve_out_dir(args))
         cfg = ExperimentConfig.from_file(args.config)
         out_dir = _resolve_out_dir(args, cfg)
         if args.command == "solve":

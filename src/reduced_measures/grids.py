@@ -231,12 +231,10 @@ def build_grid(
     raise ValueError(f"unknown grid kind: {kind!r}")
 
 
-# Relative 2-norm residual that stops CG on rect2d.  On the signed split
-# (+-8 pi under exp) at h = 1/32 to 1/256, max s h^2 14-16, CG took at most 11
-# iterations, 6.7-7.3 on average, with the Newton counts and atoms of sparse LU.
-CG_RTOL = 1e-10
-# Past this many, L + diag(s) is factored: s h^2 uniform in [0, 1e3] on the
-# central quarter of the unit square at h = 1/32 needs 230.
+# rect2d's CG stops at the caller's relative residual: _kernels.CG_RTOL by
+# default, Newton's forcing term in a Newton step.  Past this many iterations
+# L + diag(s) is factored: s h^2 uniform in [0, 1e3] on the central quarter
+# of the unit square at h = 1/32 needs 230 to reach CG_RTOL.
 CG_MAX_ITER = 60
 
 
@@ -302,11 +300,18 @@ class LinearOperator:
         diag = self.d if self.is_tridiagonal else self._csr.diagonal()
         return self.grid.cell_volumes * (2.0 * diag - self.apply(np.ones(self.grid.n_nodes)))
 
-    def solve(self, rhs: np.ndarray, shift: np.ndarray | float | None = None) -> np.ndarray:
+    def solve(
+        self,
+        rhs: np.ndarray,
+        shift: np.ndarray | float | None = None,
+        rtol: float = _kernels.CG_RTOL,
+    ) -> np.ndarray:
         """Solve (L + diag(shift)) x = rhs; shift >= 0 keeps the M-matrix.
 
-        On rect2d no shift or a scalar one is one sine-transform pair, and an
-        array shift runs CG preconditioned by L^-1, then splu past CG_MAX_ITER."""
+        Tridiagonal grids solve exactly.  On rect2d no shift or a scalar one
+        is one sine-transform pair, also exact, and an array shift runs CG
+        preconditioned by L^-1 until ||rhs - (L + diag(shift)) x||_2 <=
+        rtol ||rhs||_2, then splu past CG_MAX_ITER."""
         if self.is_tridiagonal:
             d = self.d if shift is None else self.d + shift
             return _kernels.thomas_solve(self.dl, d, self.du, rhs)
@@ -318,7 +323,7 @@ class LinearOperator:
         if shift is None or np.ndim(shift) == 0:
             return poisson(rhs, shift or 0.0)
         x, r, p, rz = np.zeros_like(rhs), rhs.copy(), 0.0, 1.0  # first p is z
-        stop = CG_RTOL * np.linalg.norm(rhs)
+        stop = rtol * np.linalg.norm(rhs)
         for _ in range(CG_MAX_ITER):
             if np.linalg.norm(r) <= stop:
                 return x

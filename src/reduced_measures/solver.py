@@ -5,7 +5,10 @@ The semilinear solver is the damped Newton iteration of
 weighted) merit function, backtracking line search, and a Picard
 fallback step when the line search stalls.  Each step solves with the
 shifted operator L + diag(s): banded elimination on tridiagonal grids,
-CG preconditioned by a sine-transform Poisson solve on rect2d.
+CG preconditioned by a sine-transform Poisson solve on rect2d.  The CG
+stops at the step's forcing term (``_kernels``): a relative linear
+residual of 1e-3 at the first step that tightens, down to 1e-10, as
+Newton converges, and never further than reaching ``tol`` needs.
 
 A solve converges when its l1 residual meets ``tol`` times the datum
 mass, or when it has stopped contracting within the rounding floor of

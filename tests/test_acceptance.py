@@ -9,15 +9,19 @@ Two criteria fail by design of the underlying mathematics at desk scale,
 not by implementation defect; the failure messages carry the measured
 numbers:
 
-* the critical-exponent dichotomy (criterion 2) needs the logarithmic
-  atom erosion c^3 ln(R/h) / (16 pi^2) to dominate, which at |log2 h| <=
-  13 has removed under 1% of the atom;
-* the concentrating-stability collapse (criterion 11) decays like
-  (c / ln(1/eps))^(1/3), so the required 5x drop in the solution norm is
-  unreachable for any resolvable eps.
+* the critical-exponent dichotomy (criterion 2) needs the atom's
+  erosion to dominate, but on the default cap schedule it grows only
+  linearly in ln(1/h), by about 7.3e-4 per unit (measured 1 - p3_atom =
+  0.00475 / 0.00576 / 0.00677 / 0.00780 at h = 2^-12 / 2^-14 / 2^-16 /
+  2^-18), so at h = 2^-13 about 0.5 % of the atom is gone;
+* in the concentrating-stability collapse (criterion 11) the solution
+  norm falls like a power of ln(1/eps) with measured exponent -0.225
+  (h = 2^-12, eps down to 2^-10) and -0.255 (h = 2^-16, eps down to
+  2^-14); even at exponent -1/3 a 5x drop from eps = 1/8 would need
+  ln(1/eps) near 260, so it is unreachable for any resolvable eps.
 
-Both are documented with the measured decay rates in the project notes;
-the checks run faithfully and report the honest numbers.
+Both laws are measured, not derived; README gives the numbers.  The
+checks run faithfully and report the honest numbers.
 """
 
 from reduced_measures import verify

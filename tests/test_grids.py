@@ -108,6 +108,9 @@ def test_shifted_solve_matches_dense_reference():
             shifted = dense if shift is None else dense + np.diag(shift)
             expect = np.linalg.solve(shifted, rhs)
             assert np.allclose(op.solve(rhs, shift), expect, rtol=1e-10, atol=1e-12)
+            # a Newton step's forcing term: CG may stop at a loose residual
+            loose = op.solve(rhs, shift, rtol=1e-3)
+            assert np.linalg.norm(shifted @ loose - rhs) <= 1e-3 * np.linalg.norm(rhs)
 
 
 def _jacobian_like_shift(g, rng, peak):
@@ -134,6 +137,8 @@ def test_rect2d_solve_matches_dense_reference_without_factoring(monkeypatch):
             shifted = dense if shift is None else dense + np.diag(np.broadcast_to(shift, g.n_nodes))
             expect = np.linalg.solve(shifted, rhs)
             assert np.allclose(op.solve(rhs, shift), expect, rtol=1e-10, atol=1e-12)
+            loose = op.solve(rhs, shift, rtol=1e-3)
+            assert np.linalg.norm(shifted @ loose - rhs) <= 1e-3 * np.linalg.norm(rhs)
 
 
 def test_rect2d_solve_factors_only_where_cg_reaches_its_cap(monkeypatch):

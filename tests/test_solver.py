@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reduced_measures import _kernels
+from reduced_measures import _kernels, grids
 from reduced_measures.grids import build_grid, negative_laplacian
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import (
@@ -12,6 +12,7 @@ from reduced_measures.nonlinearities import (
     make_two_sided_exponential,
 )
 from reduced_measures.solver import (
+    DEFAULT_TOL,
     assemble_rhs,
     check_apriori_estimates,
     compare_solutions,
@@ -167,3 +168,38 @@ def test_sparse_and_tridiagonal_paths_share_semantics():
     assert profile.shape == rep1.u.values.shape
     assert np.max(np.abs(profile - rep1.u.values)) <= 5e-3
 
+
+def test_rect2d_newton_steps_solve_only_to_the_forcing_term(monkeypatch):
+    # exp with an 8 pi atom at the centre of the unit square, h = 1/32: the
+    # cold solve at cap 1, caps 4, 16 and 64, then the uncapped solve.  With
+    # every CG run to CG_RTOL it made 264 sine transforms, with the forcing
+    # term 114, in the same 2 + 2 + 3 + 4 + 11 Newton iterations.
+    grid = build_grid("rect2d", 2.0**-5, extents=(1.0, 1.0))
+    op = negative_laplacian(grid)
+    mu = DiscreteMeasure.from_atoms(grid, [((0.5, 0.5), 8 * math.pi)])
+    g = make_exponential()
+    ladder = [g.truncate(cap) for cap in (1.0, 4.0, 16.0, 64.0)] + [g]
+    transforms = []
+    transform = grids._sine_transform
+    monkeypatch.setattr(grids, "_sine_transform", lambda a: transforms.append(1) or transform(a))
+
+    def run():
+        transforms.clear()
+        u, reports = None, []
+        for g_n in ladder:
+            reports.append(solve_semilinear(op, g_n, mu, u0=u))
+            u = reports[-1].u.values
+        return reports, len(transforms)
+
+    inexact, count = run()
+    assert count <= 150
+    exact_solve = grids.LinearOperator.solve
+    monkeypatch.setattr(
+        grids.LinearOperator, "solve", lambda self, rhs, shift=None, rtol=None: exact_solve(self, rhs, shift)
+    )
+    exact, _ = run()
+    assert [r.stop_reason for r in inexact] == [r.stop_reason for r in exact] == ["tol"] * 5
+    mass = float(np.sum(assemble_rhs(grid, mu) * grid.cell_volumes))
+    for a, b in zip(inexact, exact):
+        gap = float(np.sum(np.abs(a.u.values - b.u.values) * grid.cell_volumes))
+        assert gap <= DEFAULT_TOL * mass
