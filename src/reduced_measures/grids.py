@@ -239,22 +239,20 @@ CG_MAX_ITER = 60
 
 
 def _sine_transform(a: np.ndarray) -> np.ndarray:
-    """Orthonormal type-I sine transform of both axes, its own inverse, by the
-    FFT of [0, a, 0, -a reversed]: scipy.fft would load 3.4 MB of scipy.special."""
-    for _ in range(2):
-        a = a.T
-        z = np.zeros((a.shape[0], 1))
-        a = -np.fft.rfft(np.concatenate([z, a, z, -a[:, ::-1]], axis=1))[:, 1 : a.shape[1] + 1].imag
-    return a * (0.5 / np.sqrt((a.shape[0] + 1) * (a.shape[1] + 1)))
+    """Orthonormal type-I sine transform of both axes, its own inverse.  scipy.fft
+    is imported at the first call: it loads scipy.special (30 ms, 3.8 MB), which
+    interval and radial work never needs.  0.10 ms against numpy's 0.23 at 95 x 191."""
+    import scipy.fft
+    return scipy.fft.dstn(a, type=1, norm="ortho")
 
 
 @dataclass
 class LinearOperator:
     """The discrete negative Laplacian with Dirichlet rows eliminated.
 
-    For interval1d/radialN the three diagonals are kept explicitly and
-    the solver goes through the Thomas kernel; rect2d assembles CSR, and
-    the sine transform diagonalises it.  diag(cell_volumes) @ matrix is symmetric.
+    For interval1d/radialN the three diagonals are kept explicitly and the
+    solver goes through the Thomas kernel; rect2d assembles CSR, diagonalised
+    by scipy.fft.dstn's type-I sine transform.  diag(cell_volumes) @ matrix is symmetric.
     """
 
     grid: Grid

@@ -52,16 +52,32 @@ def test_solve_writes_solution_and_diagnostics(tmp_path):
     assert len(rows) == 64  # header + one row per node
 
 
-def test_solver_failure_exits_with_code_three(tmp_path):
-    cfg = _write(
+def _huge_atom_config(tmp_path, weight):
+    return _write(
         tmp_path,
         "solve.json",
         {
             "grid": {"kind": "radialN", "h": 2.0**-10, "dim": 2, "radius": 1.0},
             "nonlinearity": {"kind": "exp"},
-            "measure": {"atoms": [{"at": 0.0, "weight": 5000.0}]},
+            "measure": {"atoms": [{"at": 0.0, "weight": weight}]},
         },
     )
+
+
+def test_overflowing_cold_start_is_restarted_and_exits_zero(tmp_path):
+    # e^u overflows at the linear start L^-1 b; the solve restarts from zero
+    cfg = _huge_atom_config(tmp_path, 5000.0)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    diag = json.loads((out / "solve_diagnostics.json").read_text())
+    assert diag["converged"] is True
+    assert diag["stop_reason"] == "tol"
+    assert diag["iterations"] == 10
+
+
+def test_solver_failure_exits_with_code_three(tmp_path):
+    # so huge an atom that the restart's first step overflows e^u as well
+    cfg = _huge_atom_config(tmp_path, 1e30)
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,56 @@ def test_shifted_solve_matches_dense_reference():
             # a Newton step's forcing term: CG may stop at a loose residual
             loose = op.solve(rhs, shift, rtol=1e-3)
             assert np.linalg.norm(shifted @ loose - rhs) <= 1e-3 * np.linalg.norm(rhs)
+
+
+def _dst1_matrix(n):
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (15, 15), (31, 63)])
+def test_sine_transform_is_the_orthonormal_dst1_of_both_axes(shape):
+    a = np.random.default_rng(sum(shape)).normal(size=shape)
+    ny, nx = shape
+    expect = _dst1_matrix(ny) @ a @ _dst1_matrix(nx)
+    got = grids._sine_transform(a)
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+    assert np.linalg.norm(grids._sine_transform(got) - a) <= 1e-13 * np.linalg.norm(a)
+
+
+def test_only_rect2d_work_imports_scipy_fft(tmp_path):
+    # scipy.fft loads scipy.special; interval and radial work must not pay
+    # for it, so the transform imports it at the first rect2d solve
+    script = f"""
+import json, math, sys
+from reduced_measures import cli
+from reduced_measures.grids import build_grid, negative_laplacian
+from reduced_measures.measures import DiscreteMeasure
+from reduced_measures.nonlinearities import make_exponential
+from reduced_measures.solver import solve_semilinear
+
+def solve(grid, at):
+    mu = DiscreteMeasure.from_atoms(grid, [(at, 8 * math.pi)])
+    assert solve_semilinear(negative_laplacian(grid), make_exponential(), mu).converged
+
+solve(build_grid("radialN", 2.0**-7, dim=2, radius=1.0), 0.0)
+config = {{
+    "grid": {{"kind": "radialN", "h": 2.0**-7, "dim": 2, "radius": 1.0}},
+    "nonlinearity": {{"kind": "exp"}},
+    "measure": {{"atoms": [{{"at": 0.0, "weight": 8 * math.pi}}]}},
+    "scheme": "truncation",
+}}
+with open({str(tmp_path / "reduce.json")!r}, "w") as fh:
+    json.dump(config, fh)
+args = ["reduce", "--config", fh.name, "--out", {str(tmp_path / "out")!r}]
+assert cli.main(args) == cli.EXIT_OK
+assert "scipy.fft" not in sys.modules
+solve(build_grid("rect2d", 2.0**-4, extents=(1.0, 1.0)), (0.5, 0.5))
+assert "scipy.fft" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(grids.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _jacobian_like_shift(g, rng, peak):

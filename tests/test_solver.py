@@ -139,13 +139,34 @@ def test_solve_cut_at_max_iter_says_so():
 
 
 def test_overflowing_start_is_an_unconverged_solve():
-    # the linear solution of a huge planar atom overflows e^u at the core
+    # the linear solution of a huge planar atom overflows e^u at the core;
+    # a start the caller gives is not replaced
     grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
+    op = negative_laplacian(grid)
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
-    rep = solve_semilinear(negative_laplacian(grid), make_exponential(), mu)
+    rep = solve_semilinear(op, make_exponential(), mu, u0=op.solve(assemble_rhs(grid, mu)))
     assert rep.stop_reason == "nonfinite"
     assert not rep.converged
     assert not math.isfinite(rep.residual_l1)
+
+
+def test_overflowing_cold_start_restarts_from_zero():
+    # the same datum without a start: e^u overflows at L^-1 b, so the solve
+    # restarts once from zero and meets tol there
+    grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
+    op = negative_laplacian(grid)
+    g = make_exponential()
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
+    rep = solve_semilinear(op, g, mu)
+    from_zero = solve_semilinear(op, g, mu, u0=np.zeros(grid.n_nodes))
+    assert rep.stop_reason == from_zero.stop_reason == "tol"
+    assert rep.iterations == from_zero.iterations == 10
+    assert np.array_equal(rep.u.values, from_zero.u.values)
+    b = assemble_rhs(grid, mu)
+    u = rep.u.values
+    f = op.apply(u) + g(u) - b
+    mass = float(np.sum(np.abs(b) * grid.cell_volumes))
+    assert float(np.sum(np.abs(f) * grid.cell_volumes)) <= DEFAULT_TOL * mass
 
 
 def test_sparse_and_tridiagonal_paths_share_semantics():
