@@ -145,8 +145,14 @@ def _run_levels(
 
 
 def _saturate(op, g: Nonlinearity, mu: DiscreteMeasure, u0: np.ndarray | None = None) -> np.ndarray:
-    """Continue the cap ladder until it goes inactive, returning the
-    exact discrete solution for the uncapped nonlinearity."""
+    """The discrete solution for the uncapped nonlinearity, the limit of
+    the capped ones since ``g`` is nondecreasing.  From a start ``u0``, one
+    uncapped solve; if it fails, or with no start, the cap ladder 1, 4,
+    16, ... from ``u0`` until the cap goes inactive."""
+    if u0 is not None:
+        report = solve_semilinear(op, g, mu, u0=u0)
+        if report.converged:
+            return report.u.values
     u = u0
     cap = 1.0
     for _ in range(40):
@@ -340,7 +346,8 @@ def _limit(
     march on ``mu`` ended in.  Returns the reduced measure, the solution it
     generates and the extraction info: None when ``exact``, as ``u`` then
     solves the uncapped problem and the datum survives whole.  Otherwise
-    saturate once, extract, and start both later solves from there."""
+    saturate once from ``u`` (one uncapped solve, with the cap ladder as
+    its fallback), extract, and start both later solves from there."""
     if exact:
         return mu, u, None
     u_sat = _saturate(op, g, mu, u0=u)

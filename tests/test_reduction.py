@@ -30,6 +30,7 @@ from reduced_measures.reduction import (
     truncation_schedule,
     weak_l1_stability_experiment,
 )
+from reduced_measures.solver import DEFAULT_TOL, assemble_rhs
 
 FOUR_PI = 4.0 * math.pi
 
@@ -289,6 +290,68 @@ def test_large_exponential_atom_reduces_without_overflow():
     res = reduce_by_truncation(grid, make_exponential(), mu)
     ((_, weight),) = res.mu_star.atoms
     assert 0.0 < weight <= FOUR_PI
+
+
+def _recording_solves(monkeypatch):
+    """Record (uncapped, warm, stop_reason) of every pipeline solve."""
+    solves = []
+    solve = reduction.solve_semilinear
+
+    def recording(op, g, mu, u0=None):
+        report = solve(op, g, mu, u0=u0)
+        solves.append((g.hi == math.inf, u0 is not None, report.stop_reason))
+        return report
+
+    monkeypatch.setattr(reduction, "solve_semilinear", recording)
+    return solves
+
+
+def test_saturation_from_a_start_is_one_uncapped_solve(monkeypatch):
+    # exp with an 8 pi atom at the centre of the disk, h = 2^-9: the cap
+    # ladder from cap 1 in every saturation made 43 solves; one uncapped
+    # solve from the state each saturation starts from makes 17.
+    solves = _recording_solves(monkeypatch)
+    grid = _disk(2.0**-9)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
+    reduce_by_truncation(grid, make_exponential(), mu)
+    assert len(solves) <= 21
+    assert [s for s in solves if s[0]] == [(True, True, "tol")] * 3
+
+
+def test_failed_warm_saturation_falls_back_to_the_cap_ladder(monkeypatch):
+    # The uncapped solve from the march state stops on max_iter for this
+    # datum; the ladder from the same state then gives the ladder's atom.
+    solves = _recording_solves(monkeypatch)
+    grid = _disk(2.0**-10)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 500.0)])
+    res = reduce_by_truncation(grid, make_exponential(), mu)
+    failed = [i for i, (uncapped, warm, reason) in enumerate(solves)
+              if uncapped and warm and reason not in ("tol", "floor")]
+    assert failed
+    uncapped, warm, reason = solves[failed[0] + 1]
+    assert not uncapped and warm and reason == "tol"  # the ladder's first rung
+    ((_, weight),) = res.mu_star.atoms
+    assert weight == pytest.approx(11.05395, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "grid, g, atom",
+    [
+        (build_grid("interval1d", 2.0**-7, length=1.0), make_power(3.0), (0.5, 20.0)),
+        (_disk(2.0**-9), make_exponential(), (0.0, 8 * math.pi)),
+        (_ball(2.0**-9), make_power(6.0), (0.0, 1.0)),
+        (build_grid("rect2d", 2.0**-5, extents=(1.0, 1.0)), make_exponential(), ((0.5, 0.5), 8 * math.pi)),
+    ],
+    ids=["interval1d-p3", "disk-exp", "ball-p6", "rect2d-exp"],
+)
+def test_warm_saturation_agrees_with_the_cold_ladder(grid, g, atom):
+    op = negative_laplacian(grid)
+    mu = DiscreteMeasure.from_atoms(grid, [atom])
+    u, *_ = reduction._run_levels(op, g, mu, truncation_schedule(3), seq_tol=1e-7)
+    warm = reduction._saturate(op, g, mu, u0=u)
+    cold = reduction._saturate(op, g, mu)
+    mass = max(1.0, float(np.sum(np.abs(assemble_rhs(grid, mu)) * grid.cell_volumes)))
+    assert float(np.sum(np.abs(warm - cold) * grid.cell_volumes)) <= DEFAULT_TOL * mass
 
 
 def test_oscillating_data_converge_weakly_without_defect():
