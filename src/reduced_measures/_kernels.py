@@ -79,9 +79,17 @@ def newton(op, g, b, u0, tol, max_iter):
     res = sum(|F| vol), halving backtracks, and a Picard step
     (L + lam) u_new = b + lam u - g(u) when the line search stalls.
 
+    It starts from ``u0`` or from zero, whichever has the smaller res;
+    zero's res is the datum mass sum(|b| vol), as g(0) = 0.  From far
+    above the solution of a convex problem Newton only creeps down, by
+    about u/p a step under (t+)^p and 1 under e^t - 1 (Ortega &
+    Rheinboldt, 1970), and such a start (the linear solution of a strong
+    atom, or one where g overflows) has the larger residual.
+
     The loop stops for the first of these reasons:
 
-    ``tol``        res <= tol;
+    ``tol``        res <= tol max(1, sum(|b| vol)): the residual is an
+                   l1 mass, judged relative to the datum mass;
     ``nonfinite``  res is not finite (g overflowed);
     ``floor``      the last step cut res by less than CONTRACTION and
                    res <= FLOOR_FACTOR eps sum((|L||u| + |g(u)| + |b|) vol),
@@ -118,8 +126,12 @@ def newton(op, g, b, u0, tol, max_iter):
             return "max_iter"
         return None
 
+    mass = float(np.sum(np.abs(b) * vols))
+    tol = tol * max(1.0, mass)
     u = u0.copy()
     f, res = residual(u)
+    if not res < mass:  # also where g overflowed at u0
+        u, f, res = np.zeros_like(u), -b, mass
     prev = np.inf
     trace = []
     stalls = 0

@@ -146,28 +146,15 @@ def _run_levels(
 
 def _saturate(op, g: Nonlinearity, mu: DiscreteMeasure, u0: np.ndarray | None = None) -> np.ndarray:
     """The discrete solution for the uncapped nonlinearity, the limit of
-    the capped ones since ``g`` is nondecreasing.  From a start ``u0``, one
-    uncapped solve; if it fails, or with no start, the cap ladder 1, 4,
-    16, ... from ``u0`` until the cap goes inactive."""
-    if u0 is not None:
-        report = solve_semilinear(op, g, mu, u0=u0)
-        if report.converged:
-            return report.u.values
-    u = u0
-    cap = 1.0
-    for _ in range(40):
-        g_n = g.truncate(cap)
-        report = solve_semilinear(op, g_n, mu, u0=u)
-        if not report.converged:
-            raise RuntimeError(
-                f"saturation solve at cap {cap} stopped on {report.stop_reason} "
-                f"(residual {report.residual_l1:.3e})"
-            )
-        u = report.u.values
-        if float(np.max(np.abs(g(u)))) < 0.5 * cap:
-            return u
-        cap *= 4.0
-    raise RuntimeError("cap ladder did not saturate; solution may be unbounded")
+    the capped ones since ``g`` is nondecreasing: one solve from ``u0``
+    (or cold), which raises with its stop reason if it fails."""
+    report = solve_semilinear(op, g, mu, u0=u0)
+    if not report.converged:
+        raise RuntimeError(
+            f"saturation solve stopped on {report.stop_reason} "
+            f"(residual {report.residual_l1:.3e})"
+        )
+    return report.u.values
 
 
 def _domain_scale(grid: Grid) -> float:
@@ -219,15 +206,18 @@ def _fit_atom(
     flux: np.ndarray,
     h: float,
     log_tail: bool,
+    scale: float,
 ) -> float:
     """Least-squares split of a flux profile into constant atom part,
     optional logarithmic absorption tail, and the self-similar mesh
-    deficit.  Returns the constant."""
+    deficit.  Returns the constant.  The tail's radii are measured in
+    units of the domain ``scale``, so the split does not depend on the
+    unit of length."""
     if len(radii) < 3:
         return float(flux[-1])
     cols = [np.ones_like(radii)]
     if log_tail:
-        cols.append(-1.0 / np.log(1.0 / radii))
+        cols.append(-1.0 / np.log(scale / radii))
     cols.append((h / radii) ** _TAIL_EXPONENT)
     coef, *_ = np.linalg.lstsq(np.column_stack(cols), flux, rcond=None)
     return float(coef[0])
@@ -302,7 +292,7 @@ def _extract_atoms(
             continue
         a = 0.0
         if node in profiles:
-            a = _fit_atom(ladders[node], profiles[node], h, log_tail)
+            a = _fit_atom(ladders[node], profiles[node], h, log_tail, scale)
         candidate[node] = _clamp_to_atom(a, w)
 
     needs_reference = any(
@@ -346,8 +336,8 @@ def _limit(
     march on ``mu`` ended in.  Returns the reduced measure, the solution it
     generates and the extraction info: None when ``exact``, as ``u`` then
     solves the uncapped problem and the datum survives whole.  Otherwise
-    saturate once from ``u`` (one uncapped solve, with the cap ladder as
-    its fallback), extract, and start both later solves from there."""
+    saturate once from ``u`` (one uncapped solve), extract, and start
+    both later solves from there."""
     if exact:
         return mu, u, None
     u_sat = _saturate(op, g, mu, u0=u)
@@ -468,9 +458,9 @@ def reduce_by_mollification(
         mu_star = mu
         u_limit = _saturate(op, g, mu, u0=u)
     else:
-        # classify the limit with the cap ladder (warm from the kernel
-        # floor), then measure from the exact solve of the unsmoothed
-        # datum: the kernel-floor state obeys the budget of the
+        # classify the limit with the truncation march (warm from the
+        # kernel floor), then measure from the exact solve of the
+        # unsmoothed datum: the kernel-floor state obeys the budget of the
         # *mollified* datum, which would bias flux readings inside the
         # kernel radius
         u_cls, _, _, exact = _run_levels(

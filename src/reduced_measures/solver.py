@@ -8,8 +8,9 @@ shifted operator L + diag(s): banded elimination on tridiagonal grids,
 CG preconditioned by a sine-transform Poisson solve on rect2d.  The CG
 stops at the step's forcing term (``_kernels``): a relative linear
 residual of 1e-3 at the first step that tightens, down to 1e-10, as
-Newton converges, and never further than reaching ``tol`` needs.  A cold
-solve starts from the linear solution, or from zero if g overflows there.
+Newton converges, and never further than reaching ``tol`` needs.  A solve
+starts from the given state (a cold one from the linear solution) or from
+zero, whichever has the smaller residual.
 
 A solve converges when its l1 residual meets ``tol`` times the datum
 mass, or when it has stopped contracting within the rounding floor of
@@ -67,13 +68,8 @@ def solve_semilinear(
 ) -> SolveReport:
     grid = op.grid
     b = assemble_rhs(grid, mu)
-    cold = u0 is None
-    u0 = op.solve(b) if cold else np.asarray(u0, dtype=float)  # cold: the linear solution
-    # the residual is an L1 mass, so judge it relative to the datum mass
-    tol = tol * max(1.0, float(np.sum(np.abs(b) * grid.cell_volumes)))
+    u0 = op.solve(b) if u0 is None else np.asarray(u0, dtype=float)  # cold: the linear solution
     u, reason, it, res, trace = _kernels.newton(op, g, b, u0, tol, max_iter)
-    if cold and reason == "nonfinite" and it == 0:  # g overflowed at L^-1 b: restart from 0
-        u, reason, it, res, trace = _kernels.newton(op, g, b, np.zeros_like(u0), tol, max_iter)
     return SolveReport(GridFunction(grid, u), reason, it, res, trace)
 
 

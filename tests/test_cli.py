@@ -65,7 +65,7 @@ def _huge_atom_config(tmp_path, weight):
 
 
 def test_overflowing_cold_start_is_restarted_and_exits_zero(tmp_path):
-    # e^u overflows at the linear start L^-1 b; the solve restarts from zero
+    # e^u overflows at the linear start L^-1 b; the solve starts from zero
     cfg = _huge_atom_config(tmp_path, 5000.0)
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
@@ -76,7 +76,7 @@ def test_overflowing_cold_start_is_restarted_and_exits_zero(tmp_path):
 
 
 def test_solver_failure_exits_with_code_three(tmp_path):
-    # so huge an atom that the restart's first step overflows e^u as well
+    # so huge an atom that the first step from zero overflows e^u as well
     cfg = _huge_atom_config(tmp_path, 1e30)
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER

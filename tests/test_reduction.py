@@ -280,16 +280,17 @@ def test_failed_solves_raise_with_their_stop_reason(monkeypatch):
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
     with pytest.raises(RuntimeError, match="level n=1.0 .* stopped on max_iter"):
         reduction._run_levels(op, g, mu, [1.0], seq_tol=1e-7)
-    with pytest.raises(RuntimeError, match="cap 1.0 stopped on max_iter"):
+    with pytest.raises(RuntimeError, match="saturation solve stopped on max_iter"):
         reduction._saturate(op, g, mu)
 
 
 def test_large_exponential_atom_reduces_without_overflow():
     grid = _disk(2.0**-10)
-    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 500.0)])
-    res = reduce_by_truncation(grid, make_exponential(), mu)
-    ((_, weight),) = res.mu_star.atoms
-    assert 0.0 < weight <= FOUR_PI
+    for c in (500.0, 1e6):
+        mu = DiscreteMeasure.from_atoms(grid, [(0.0, c)])
+        res = reduce_by_truncation(grid, make_exponential(), mu)
+        ((_, weight),) = res.mu_star.atoms
+        assert 0.0 < weight <= FOUR_PI
 
 
 def _recording_solves(monkeypatch):
@@ -318,20 +319,71 @@ def test_saturation_from_a_start_is_one_uncapped_solve(monkeypatch):
     assert [s for s in solves if s[0]] == [(True, True, "tol")] * 3
 
 
-def test_failed_warm_saturation_falls_back_to_the_cap_ladder(monkeypatch):
-    # The uncapped solve from the march state stops on max_iter for this
-    # datum; the ladder from the same state then gives the ladder's atom.
+def test_strong_atom_saturates_in_one_uncapped_solve(monkeypatch):
+    # the march ends far above the uncapped solution, where Newton under
+    # e^u creeps down by about 1 a step; the start rule picks zero there,
+    # so every solve converges and nothing is capped after the march
     solves = _recording_solves(monkeypatch)
     grid = _disk(2.0**-10)
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 500.0)])
     res = reduce_by_truncation(grid, make_exponential(), mu)
-    failed = [i for i, (uncapped, warm, reason) in enumerate(solves)
-              if uncapped and warm and reason not in ("tol", "floor")]
-    assert failed
-    uncapped, warm, reason = solves[failed[0] + 1]
-    assert not uncapped and warm and reason == "tol"  # the ladder's first rung
+    assert all(reason in ("tol", "floor") for *_, reason in solves)
+    first_uncapped = next(i for i, (uncapped, *_) in enumerate(solves) if uncapped)
+    assert solves[first_uncapped:] == [(True, True, "tol")] * 3
     ((_, weight),) = res.mu_star.atoms
     assert weight == pytest.approx(11.05395, rel=1e-6)
+
+
+def test_strong_power_reduces_by_mollification():
+    # each uncapped solve of the march starts far above its solution under
+    # t^40 unless it starts from zero
+    grid = _ball(2.0**-10)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
+    res = reduce_by_mollification(grid, make_power(40.0), mu)
+    ((_, weight),) = res.mu_star.atoms
+    assert 0.0 <= weight <= 5000.0
+
+
+def test_atom_fit_does_not_depend_on_the_unit_of_length():
+    h = 2.0**-10
+    radii = 8.0 * h * np.sqrt(2.0) ** np.arange(8)
+    flux = 12.0 - 3.0 / np.log(0.7 / radii) + 0.5 * (h / radii) ** 0.4
+    once = reduction._fit_atom(radii, flux, h, True, 0.7)
+    twice = reduction._fit_atom(2.0 * radii, flux, 2.0 * h, True, 1.4)
+    assert twice == pytest.approx(once, rel=1e-12)
+
+
+class _Scaled:
+    """k g for a Nonlinearity g; min(k g, n) is k min(g, n / k)."""
+
+    def __init__(self, g, k):
+        self.g, self.k = g, k
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+    def __call__(self, t):
+        return self.k * self.g(t)
+
+    def deriv(self, t):
+        return self.k * self.g.deriv(t)
+
+    def truncate(self, n, family="value"):
+        return _Scaled(self.g.truncate(n / self.k, family), self.k)
+
+
+def test_planar_exp_atom_does_not_depend_on_the_unit_of_length():
+    # u(x) on the disk of radius 2 is v(x / 2) on the unit disk with
+    # absorption 4 g at half the mesh width, so both must read one atom
+    readings = []
+    for grid, g in [
+        (build_grid("radialN", 2.0**-13, dim=2, radius=2.0), make_exponential()),
+        (_disk(2.0**-14), _Scaled(make_exponential(), 4.0)),
+    ]:
+        mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
+        ((_, weight),) = reduce_by_truncation(grid, g, mu).mu_star.atoms
+        readings.append(weight)
+    assert readings[0] == pytest.approx(readings[1], rel=1e-8)
 
 
 @pytest.mark.parametrize(

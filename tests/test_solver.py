@@ -138,21 +138,23 @@ def test_solve_cut_at_max_iter_says_so():
     assert rep.iterations == 1
 
 
-def test_overflowing_start_is_an_unconverged_solve():
-    # the linear solution of a huge planar atom overflows e^u at the core;
-    # a start the caller gives is not replaced
+def test_a_start_above_the_datum_mass_is_replaced_by_zero():
+    # the linear solution of a huge planar atom overflows e^u at the core,
+    # so its residual exceeds zero's (the datum mass) and Newton starts
+    # from zero even though the caller gave this start
     grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
     op = negative_laplacian(grid)
+    g = make_exponential()
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
-    rep = solve_semilinear(op, make_exponential(), mu, u0=op.solve(assemble_rhs(grid, mu)))
-    assert rep.stop_reason == "nonfinite"
-    assert not rep.converged
-    assert not math.isfinite(rep.residual_l1)
+    rep = solve_semilinear(op, g, mu, u0=op.solve(assemble_rhs(grid, mu)))
+    from_zero = solve_semilinear(op, g, mu, u0=np.zeros(grid.n_nodes))
+    assert rep.stop_reason == "tol"
+    assert np.array_equal(rep.u.values, from_zero.u.values)
 
 
 def test_overflowing_cold_start_restarts_from_zero():
-    # the same datum without a start: e^u overflows at L^-1 b, so the solve
-    # restarts once from zero and meets tol there
+    # the same datum without a start: e^u overflows at L^-1 b, so the
+    # solve starts from zero instead and meets tol there
     grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
     op = negative_laplacian(grid)
     g = make_exponential()
@@ -167,6 +169,19 @@ def test_overflowing_cold_start_restarts_from_zero():
     f = op.apply(u) + g(u) - b
     mass = float(np.sum(np.abs(b) * grid.cell_volumes))
     assert float(np.sum(np.abs(f) * grid.cell_volumes)) <= DEFAULT_TOL * mass
+
+
+@pytest.mark.parametrize("p", [20.0, 40.0])
+def test_strong_power_cold_solve_starts_below_the_linear_solution(p):
+    # L^-1 b of a 5000 atom lies far above the solution, where Newton
+    # under t^p removes only about u/p a step; from zero they meet tol in
+    # 10 and 7
+    grid = build_grid("radialN", 2.0**-10, dim=2, radius=1.0)
+    op = negative_laplacian(grid)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 5000.0)])
+    rep = solve_semilinear(op, make_power(p), mu)
+    assert rep.stop_reason == "tol"
+    assert rep.iterations <= 15
 
 
 def test_sparse_and_tridiagonal_paths_share_semantics():
