@@ -10,23 +10,14 @@ from .nonlinearities import (
     make_power,
     make_two_sided_exponential,
 )
-from .solver import (
-    SolveReport,
-    assemble_rhs,
-    check_apriori_estimates,
-    compare_solutions,
-    solve_semilinear,
-)
+from .solver import SolveReport, assemble_rhs, solve_semilinear
 from .reduction import (
     ReducedResult,
-    calculus_check,
     mollification_schedule,
-    oracle_reduced,
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
     truncation_schedule,
-    weak_l1_stability_experiment,
 )
 from .capacity import (
     CompactSet,
@@ -36,7 +27,16 @@ from .capacity import (
     point_set,
 )
 from .config import ConfigError, ExperimentConfig
-from .verify import CheckResult, run_all, run_suite
+from .verify import (
+    CheckResult,
+    calculus_check,
+    check_apriori_estimates,
+    compare_solutions,
+    oracle_reduced,
+    run_all,
+    run_suite,
+    weak_l1_stability_experiment,
+)
 
 __version__ = "0.1.0"
 

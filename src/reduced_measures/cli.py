@@ -12,7 +12,7 @@ artifacts are byte-identical across runs; wall-clock timings are kept out
 of them (sweeps write a separate ``timings.csv`` sidecar).
 
 Exit codes: 0 success, 1 failed verify check, 2 bad configuration,
-3 solver failure.
+3 solver failure, which stderr explains in one ``solver failure:`` line.
 """
 
 from __future__ import annotations
@@ -151,7 +151,10 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
             "u_l1": float(np.sum(np.abs(report.u.values) * grid.cell_volumes)),
         },
     )
-    return EXIT_OK if report.converged else EXIT_SOLVER
+    if not report.converged:
+        reason, residual = report.stop_reason, report.residual_l1
+        raise RuntimeError(f"solve stopped on {reason} (residual {residual:.3e})")
+    return EXIT_OK
 
 
 _SCHEMES = {
@@ -210,7 +213,13 @@ def run_reduce(cfg: ExperimentConfig, out_dir: str) -> int:
             result.diagnostics["direct_mu_star"]
         )
     _write_json(os.path.join(out_dir, "reduced.json"), summary)
-    return EXIT_OK if result.converged else EXIT_SOLVER
+    if not result.converged:
+        last = result.levels[-1]
+        raise RuntimeError(
+            f"the {result.scheme} scheme did not settle: last level n={last['n']}, "
+            f"l1_step={last['l1_step']:.3e}, seq_tol={result.diagnostics['seq_tol']:.3e}"
+        )
+    return EXIT_OK
 
 
 def _compact_set(grid: Grid, spec: dict):

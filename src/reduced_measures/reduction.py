@@ -8,6 +8,9 @@ fixed mesh width the refused mass does not sit in any single cell: it is
 smeared across the whole range of resolved scales, so the extractor
 reconstructs it from the radial out-flux profile around each atom
 rather than from any local residual.
+
+Every march is a warm-started continuation driven by ``_continue``, the
+one place a failed solve becomes an error naming its step.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .grids import Grid, GridFunction, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .nonlinearities import Nonlinearity
 from .solver import assemble_rhs, solve_semilinear
-
-FOUR_PI = 4.0 * math.pi
 
 # Exponent of the self-similar near-core flux deficit of the scheme: at
 # radius rho the discrete out-flux of a saturated state overshoots the
@@ -72,6 +73,25 @@ def _core_cell_budget(grid: Grid, mu: DiscreteMeasure) -> int:
     return per_atom * max(1, positive_atoms)
 
 
+def _continue(op, steps, u: np.ndarray | None = None):
+    """Solve each ``(label, g_k, mu_k)`` of ``steps`` from the state the
+    previous one ended in (the first from ``u``, or cold) and yield
+    ``(report, u, l1_step)``: ``l1_step`` is the L1 distance from the
+    previous state, or from zero.  A failed solve raises RuntimeError with
+    its label and stop reason.  Callers stop by breaking out of the loop."""
+    vols = op.grid.cell_volumes
+    for label, g_k, mu_k in steps:
+        report = solve_semilinear(op, g_k, mu_k, u0=u)
+        if not report.converged:
+            raise RuntimeError(
+                f"{label} solve stopped on {report.stop_reason} "
+                f"(residual {report.residual_l1:.3e})"
+            )
+        step = float(np.sum(np.abs(report.u.values - (u if u is not None else 0.0)) * vols))
+        u = report.u.values
+        yield report, u, step
+
+
 def _run_levels(
     op,
     g: Nonlinearity,
@@ -82,8 +102,9 @@ def _run_levels(
     u0: np.ndarray | None = None,
     iterates: list | None = None,
 ):
-    """Solve the capped problems along the schedule, warm-starting each
-    level from the previous one.  Returns (u, levels, converged, exact).
+    """The cap march: continue through ``g_n`` for the caps of the
+    schedule, from ``u0`` or cold, and stop on the first of three rules.
+    Returns (u, levels, converged, exact).
 
     ``exact`` flags that the cap went inactive while the capped region
     was still spread out, i.e. the final iterate solves the uncapped
@@ -93,68 +114,54 @@ def _run_levels(
     alone proves nothing: when the capped set has already collapsed to a
     point-like core that is still withholding a visible fraction of the
     datum, the march is a defect pile-up and is stopped for extraction
-    instead.
+    instead.  Otherwise the march stops once an L1 step after the first
+    level falls below ``seq_tol``, or when the schedule runs out (not
+    converged).
     """
     grid = mu.grid
     vols = grid.cell_volumes
     scale = max(1.0, mu.tv_norm())
     core_budget = _core_cell_budget(grid, mu)
+    caps = [(n, g.truncate(n, family=family)) for n in schedule]
+    steps = ((f"level n={n}", g_n, mu) for n, g_n in caps)
     u = u0
     levels: list[dict] = []
-    converged = False
-    exact = False
-    for n in schedule:
-        g_n = g.truncate(n, family=family)
-        report = solve_semilinear(op, g_n, mu, u0=u)
-        if not report.converged:
-            raise RuntimeError(
-                f"level n={n} failed to converge: stopped on {report.stop_reason} "
-                f"(residual {report.residual_l1:.3e}, trace {report.method_trace})"
-            )
-        u_new = report.u.values
-        step = float(np.sum(np.abs(u_new - (u if u is not None else 0.0)) * vols))
-        withheld = np.abs(g(u_new) - g_n(u_new))
-        gmass = float(np.sum(g_n(u_new) * vols))
+    converged = exact = False
+    for (n, g_n), (report, u, step) in zip(caps, _continue(op, steps, u0)):
+        g_n_u = g_n(u)
+        withheld = np.abs(g(u) - g_n_u)
         excess = float(np.sum(withheld * vols))
         capped_cells = int(np.sum(withheld > 0.0))
         levels.append(
             {
                 "n": float(n),
                 "l1_step": step,
-                "gmass": gmass,
-                "u_l1": float(np.sum(np.abs(u_new) * vols)),
+                "gmass": float(np.sum(g_n_u * vols)),
+                "u_l1": float(np.sum(np.abs(u) * vols)),
                 "excess": excess,
                 "capped_cells": capped_cells,
                 "newton_iterations": report.iterations,
             }
         )
-        u = u_new
         if iterates is not None:
-            iterates.append(u_new.copy())
-        if capped_cells <= core_budget and excess >= 0.05 * scale:
-            converged = True
-            break
-        if excess <= 1e-10 * scale:
-            converged = True
-            exact = True
-            break
-        if len(levels) >= 2 and step < seq_tol:
-            converged = True
+            iterates.append(u.copy())
+        exact = excess <= 1e-10 * scale
+        converged = (
+            exact
+            or (capped_cells <= core_budget and excess >= 0.05 * scale)
+            or (len(levels) >= 2 and step < seq_tol)
+        )
+        if converged:
             break
     return u, levels, converged, exact
 
 
 def _saturate(op, g: Nonlinearity, mu: DiscreteMeasure, u0: np.ndarray | None = None) -> np.ndarray:
     """The discrete solution for the uncapped nonlinearity, the limit of
-    the capped ones since ``g`` is nondecreasing: one solve from ``u0``
-    (or cold), which raises with its stop reason if it fails."""
-    report = solve_semilinear(op, g, mu, u0=u0)
-    if not report.converged:
-        raise RuntimeError(
-            f"saturation solve stopped on {report.stop_reason} "
-            f"(residual {report.residual_l1:.3e})"
-        )
-    return report.u.values
+    the capped ones since ``g`` is nondecreasing: one step of the
+    continuation, from ``u0`` (or cold)."""
+    _, u, _ = next(_continue(op, [("saturation", g, mu)], u0))
+    return u
 
 
 def _domain_scale(grid: Grid) -> float:
@@ -435,22 +442,18 @@ def reduce_by_mollification(
     op = negative_laplacian(grid)
 
     vols = grid.cell_volumes
-    u = None
+    steps = ((f"kernel radius {r}", g, mu.mollify_radius(r)) for r in schedule)
     levels: list[dict] = []
-    for radius in schedule:
-        mu_n = mu.mollify_radius(radius)
-        u_new = _saturate(op, g, mu_n, u0=u)
-        step = float(np.sum(np.abs(u_new - (u if u is not None else 0.0)) * vols))
+    for radius, (_, u, step) in zip(schedule, _continue(op, steps)):
         levels.append(
             {
                 "n": 1.0 / radius,
                 "radius": radius,
                 "l1_step": step,
-                "gmass": float(np.sum(g(u_new) * vols)),
-                "u_l1": float(np.sum(np.abs(u_new) * vols)),
+                "gmass": float(np.sum(g(u) * vols)),
+                "u_l1": float(np.sum(np.abs(u) * vols)),
             }
         )
-        u = u_new
     converged = len(levels) >= 2 and levels[-1]["l1_step"] < seq_tol
 
     diagnostics: dict = {"seq_tol": seq_tol, "kernel_floor": schedule[-1]}
@@ -463,9 +466,7 @@ def reduce_by_mollification(
         # unsmoothed datum: the kernel-floor state obeys the budget of the
         # *mollified* datum, which would bias flux readings inside the
         # kernel radius
-        u_cls, _, _, exact = _run_levels(
-            op, g, mu, truncation_schedule(), seq_tol, u0=u
-        )
+        u_cls, _, _, exact = _run_levels(op, g, mu, truncation_schedule(), seq_tol, u0=u)
         diagnostics["exact"] = converged = exact
         mu_star, u_limit, diagnostics["extraction"] = _limit(op, g, mu, u_cls, exact)
 
@@ -529,6 +530,7 @@ def reduce_signed(
         scheme="signed-split",
         converged=res_pos.converged and res_neg.converged,
         diagnostics={
+            "seq_tol": seq_tol,
             "direct_vs_combined_l1": gap_u,
             "direct_vs_combined_tv": tv_distance(res_dir.mu_star, mu_star),
             "direct_mu_star": res_dir.mu_star,
@@ -537,144 +539,3 @@ def reduce_signed(
             "negative_part": res_neg.diagnostics,
         },
     )
-
-
-# --- closed-form oracles -----------------------------------------------------
-
-
-def oracle_reduced(mu: DiscreteMeasure, g: Nonlinearity) -> DiscreteMeasure:
-    """Closed-form reduced measure, chosen by ``g`` and the grid's dimension.
-
-    subcritical g       every measure is good: the datum itself.
-    power, otherwise    atoms are wiped out.
-    exp in 2-d          atom weights clamp at the threshold 4*pi.
-    Atoms of a sign that g does not absorb, and densities, pass unchanged.
-    Any other case has no closed form here and raises ValueError.
-    """
-    dim = mu.grid.dim
-    if g.subcritical_for(dim):
-        return mu
-    if g.kind == "power":
-        cap = 0.0
-    elif dim == 2:
-        cap = FOUR_PI
-    else:
-        raise ValueError(f"no closed-form reduction for {g.kind!r} in dimension {dim}")
-    atoms = tuple(
-        (n, w if w < 0 and g.vanishes_on_negatives else math.copysign(min(abs(w), cap), w))
-        for n, w in mu.atoms
-    )
-    return DiscreteMeasure(mu.grid, mu.density, atoms)
-
-
-def calculus_check(mu: DiscreteMeasure, nu: DiscreteMeasure, g: Nonlinearity) -> dict:
-    """Evaluate the algebra of the reduction map R under ``g`` on a pair of
-    measures and report the violation of each identity as a tv distance.
-
-    On the model families R acts on atom weights by a monotone
-    1-Lipschitz clamp, so all identities hold exactly in floating point;
-    any nonzero violation is a bug, not a numerical artifact.
-    """
-
-    def R(m: DiscreteMeasure) -> DiscreteMeasure:
-        return oracle_reduced(m, g)
-
-    out: dict[str, float] = {}
-
-    singular = not (
-        set(n for n, _ in mu.atoms) & set(n for n, _ in nu.atoms)
-    ) and not np.any((mu.density != 0) & (nu.density != 0))
-    if singular:
-        out["additivity_mutually_singular"] = tv_distance(R(mu + nu), R(mu) + R(nu))
-
-    out["sup_identity"] = tv_distance(
-        R(mu.lattice_sup(nu)), R(mu).lattice_sup(R(nu))
-    )
-    out["inf_identity"] = tv_distance(
-        R(mu.lattice_inf(nu)), R(mu).lattice_inf(R(nu))
-    )
-
-    lhs = tv_distance(R(mu), R(nu))
-    rhs = tv_distance(mu, nu)
-    out["nonexpansive_tv"] = max(0.0, lhs - rhs)
-
-    lhs_pos = (R(mu) - R(nu)).positive_part().tv_norm()
-    rhs_pos = (mu - nu).positive_part().tv_norm()
-    out["nonexpansive_positive_part"] = max(0.0, lhs_pos - rhs_pos)
-
-    out["positive_part_commutes"] = tv_distance(
-        R(mu).positive_part(), R(mu.positive_part())
-    )
-    if g.vanishes_on_negatives:
-        # with no absorption on the negative side the negative part is
-        # never touched by the reduction
-        out["negative_part_passes"] = tv_distance(
-            R(mu).negative_part(), mu.negative_part()
-        )
-
-    diffuse, _ = nu.decompose()
-    out["diffuse_shift"] = tv_distance(R(mu + diffuse), R(mu) + diffuse)
-
-    out["max_violation"] = max(out.values()) if out else 0.0
-    return out
-
-
-# --- weak-L1 stability experiments -------------------------------------------
-
-
-def weak_l1_stability_experiment(
-    grid: Grid,
-    g: Nonlinearity,
-    scenario: str,
-    *,
-    frequencies=(8, 16, 32, 64),
-    stages=(1.0 / 8, 1.0 / 32, 1.0 / 128, 1.0 / 512),
-) -> dict:
-    """Two canonical forcing families with bounded total variation.
-
-    oscillating     f_n = 1 + sin(2 pi n x): converges weakly in L1, and
-                    the solutions converge in L1 (errors fall ~ 1/n^2).
-    concentrating   fixed mass |Omega| mollified at shrinking radii: the
-                    data concentrate onto a point while solutions of the
-                    supercritical problem collapse toward zero.
-    """
-    op = negative_laplacian(grid)
-    vols = grid.cell_volumes
-
-    if scenario == "oscillating":
-        if grid.kind != "interval1d":
-            raise ValueError("the oscillating scenario runs on interval1d grids")
-        x = grid.nodes
-        limit = solve_semilinear(
-            op, g, DiscreteMeasure.from_density(grid, np.ones_like(x))
-        ).u.values
-        errors = []
-        for n in frequencies:
-            f = 1.0 + np.sin(2.0 * math.pi * n * x)
-            u_n = solve_semilinear(op, g, DiscreteMeasure.from_density(grid, f)).u.values
-            errors.append(float(np.sum(np.abs(u_n - limit) * vols)))
-        return {
-            "scenario": scenario,
-            "frequencies": list(frequencies),
-            "errors": errors,
-        }
-
-    if scenario == "concentrating":
-        volume = grid.domain_volume
-        mu0 = DiscreteMeasure.from_atoms(grid, [(0.0, volume)])
-        u = None
-        norms, tvs = [], []
-        for eps in stages:
-            mu_eps = mu0.mollify_radius(max(eps, 4.0 * grid.h))
-            u = _saturate(op, g, mu_eps, u0=u)
-            norms.append(float(np.sum(np.abs(u) * vols)))
-            tvs.append(mu_eps.tv_norm())
-        return {
-            "scenario": scenario,
-            "stages": list(stages),
-            "u_l1": norms,
-            "tv": tvs,
-            "domain_volume": volume,
-        }
-
-    raise ValueError(f"unknown scenario: {scenario!r}")

@@ -1,4 +1,4 @@
-"""Semilinear solves against measure data.
+"""Semilinear solves against measure data; the checks on them are in ``verify``.
 
 The semilinear solver is the damped Newton iteration of
 ``_kernels.newton`` on F(u) = L u + g(u) - b with an l1 (cell-volume
@@ -79,45 +79,3 @@ def g_mass(grid: Grid, g: Nonlinearity, u: np.ndarray) -> float:
 
 def laplacian_mass(op: LinearOperator, u: np.ndarray) -> float:
     return float(np.sum(np.abs(op.apply(u)) * op.grid.cell_volumes))
-
-
-def check_apriori_estimates(
-    op: LinearOperator,
-    g: Nonlinearity,
-    mu: DiscreteMeasure,
-    report: SolveReport,
-) -> dict:
-    """Absorption mass is bounded by the data mass and the discrete
-    Laplacian mass by twice the data mass, each with 5 % slack."""
-    tv = mu.tv_norm()
-    gm = g_mass(op.grid, g, report.u.values)
-    lm = laplacian_mass(op, report.u.values)
-    return {
-        "tv": tv,
-        "g_mass": gm,
-        "laplacian_mass": lm,
-        "g_mass_ok": gm <= 1.05 * tv + 1e-12,
-        "laplacian_mass_ok": lm <= 2.1 * tv + 1e-12,
-    }
-
-
-def compare_solutions(
-    g: Nonlinearity,
-    mu1: DiscreteMeasure,
-    mu2: DiscreteMeasure,
-    rep1: SolveReport,
-    rep2: SolveReport,
-) -> dict:
-    """Comparison and l1 contraction diagnostics for a data pair."""
-    grid = rep1.u.grid
-    vols = grid.cell_volumes
-    ordered = bool(np.all(rep1.u.values <= rep2.u.values + 1e-8))
-    lhs = float(np.sum(np.abs(g(rep1.u.values) - g(rep2.u.values)) * vols))
-    rhs = (mu1 - mu2).tv_norm()
-    return {
-        "mu1_leq_mu2": mu1.leq(mu2, tol=1e-12),
-        "solutions_ordered": ordered,
-        "g_contraction_lhs": lhs,
-        "g_contraction_rhs": rhs,
-        "contraction_ok": lhs <= rhs * (1.0 + 1e-6) + 1e-12,
-    }

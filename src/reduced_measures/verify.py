@@ -23,27 +23,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import capacity as cap
-from .grids import build_grid, negative_laplacian
+from .grids import Grid, LinearOperator, build_grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .nonlinearities import (
+    Nonlinearity,
     make_exponential,
     make_power,
     make_two_sided_exponential,
 )
 from .reduction import (
-    FOUR_PI,
-    calculus_check,
-    oracle_reduced,
+    _continue,
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
-    weak_l1_stability_experiment,
 )
-from .solver import (
-    check_apriori_estimates,
-    compare_solutions,
-    solve_semilinear,
-)
+from .solver import SolveReport, g_mass, laplacian_mass, solve_semilinear
+
+FOUR_PI = 4.0 * math.pi
 
 
 @dataclass
@@ -64,6 +60,181 @@ def _fmt(v):
     if isinstance(v, (list, tuple)) and v and isinstance(v[0], float):
         return "[" + ", ".join(f"{x:.4g}" for x in v) + "]"
     return str(v)
+
+
+# --- the experiments the checks run ------------------------------------------
+
+
+def oracle_reduced(mu: DiscreteMeasure, g: Nonlinearity) -> DiscreteMeasure:
+    """Closed-form reduced measure, chosen by ``g`` and the grid's dimension.
+
+    subcritical g       every measure is good: the datum itself.
+    power, otherwise    atoms are wiped out.
+    exp in 2-d          atom weights clamp at the threshold 4*pi.
+    Atoms of a sign that g does not absorb, and densities, pass unchanged.
+    Any other case has no closed form here and raises ValueError.
+    """
+    dim = mu.grid.dim
+    if g.subcritical_for(dim):
+        return mu
+    if g.kind == "power":
+        cap = 0.0
+    elif dim == 2:
+        cap = FOUR_PI
+    else:
+        raise ValueError(f"no closed-form reduction for {g.kind!r} in dimension {dim}")
+    atoms = tuple(
+        (n, w if w < 0 and g.vanishes_on_negatives else math.copysign(min(abs(w), cap), w))
+        for n, w in mu.atoms
+    )
+    return DiscreteMeasure(mu.grid, mu.density, atoms)
+
+
+def calculus_check(mu: DiscreteMeasure, nu: DiscreteMeasure, g: Nonlinearity) -> dict:
+    """Evaluate the algebra of the reduction map R under ``g`` on a pair of
+    measures and report the violation of each identity as a tv distance.
+
+    On the model families R acts on atom weights by a monotone
+    1-Lipschitz clamp, so all identities hold exactly in floating point;
+    any nonzero violation is a bug, not a numerical artifact.
+    """
+
+    def R(m: DiscreteMeasure) -> DiscreteMeasure:
+        return oracle_reduced(m, g)
+
+    out: dict[str, float] = {}
+
+    singular = not (
+        set(n for n, _ in mu.atoms) & set(n for n, _ in nu.atoms)
+    ) and not np.any((mu.density != 0) & (nu.density != 0))
+    if singular:
+        out["additivity_mutually_singular"] = tv_distance(R(mu + nu), R(mu) + R(nu))
+
+    out["sup_identity"] = tv_distance(
+        R(mu.lattice_sup(nu)), R(mu).lattice_sup(R(nu))
+    )
+    out["inf_identity"] = tv_distance(
+        R(mu.lattice_inf(nu)), R(mu).lattice_inf(R(nu))
+    )
+
+    lhs = tv_distance(R(mu), R(nu))
+    rhs = tv_distance(mu, nu)
+    out["nonexpansive_tv"] = max(0.0, lhs - rhs)
+
+    lhs_pos = (R(mu) - R(nu)).positive_part().tv_norm()
+    rhs_pos = (mu - nu).positive_part().tv_norm()
+    out["nonexpansive_positive_part"] = max(0.0, lhs_pos - rhs_pos)
+
+    out["positive_part_commutes"] = tv_distance(
+        R(mu).positive_part(), R(mu.positive_part())
+    )
+    if g.vanishes_on_negatives:
+        # with no absorption on the negative side the negative part is
+        # never touched by the reduction
+        out["negative_part_passes"] = tv_distance(
+            R(mu).negative_part(), mu.negative_part()
+        )
+
+    diffuse, _ = nu.decompose()
+    out["diffuse_shift"] = tv_distance(R(mu + diffuse), R(mu) + diffuse)
+
+    out["max_violation"] = max(out.values()) if out else 0.0
+    return out
+
+
+def weak_l1_stability_experiment(
+    grid: Grid,
+    g: Nonlinearity,
+    scenario: str,
+    *,
+    frequencies=(8, 16, 32, 64),
+    stages=(1.0 / 8, 1.0 / 32, 1.0 / 128, 1.0 / 512),
+) -> dict:
+    """Two canonical forcing families with bounded total variation.
+
+    oscillating     f_n = 1 + sin(2 pi n x): converges weakly in L1, and
+                    the solutions converge in L1 (errors fall ~ 1/n^2).
+    concentrating   fixed mass |Omega| mollified at shrinking radii: the
+                    data concentrate onto a point while solutions of the
+                    supercritical problem collapse toward zero.
+    """
+    op = negative_laplacian(grid)
+    vols = grid.cell_volumes
+
+    if scenario == "oscillating":
+        if grid.kind != "interval1d":
+            raise ValueError("the oscillating scenario runs on interval1d grids")
+        x = grid.nodes
+        limit = solve_semilinear(
+            op, g, DiscreteMeasure.from_density(grid, np.ones_like(x))
+        ).u.values
+        errors = []
+        for n in frequencies:
+            f = 1.0 + np.sin(2.0 * math.pi * n * x)
+            u_n = solve_semilinear(op, g, DiscreteMeasure.from_density(grid, f)).u.values
+            errors.append(float(np.sum(np.abs(u_n - limit) * vols)))
+        return {
+            "scenario": scenario,
+            "frequencies": list(frequencies),
+            "errors": errors,
+        }
+
+    if scenario == "concentrating":
+        volume = grid.domain_volume
+        mu0 = DiscreteMeasure.from_atoms(grid, [(0.0, volume)])
+        data = [mu0.mollify_radius(max(eps, 4.0 * grid.h)) for eps in stages]
+        steps = ((f"stage eps={eps}", g, mu) for eps, mu in zip(stages, data))
+        return {
+            "scenario": scenario,
+            "stages": list(stages),
+            "u_l1": [float(np.sum(np.abs(u) * vols)) for _, u, _ in _continue(op, steps)],
+            "tv": [mu.tv_norm() for mu in data],
+            "domain_volume": volume,
+        }
+
+    raise ValueError(f"unknown scenario: {scenario!r}")
+
+
+def check_apriori_estimates(
+    op: LinearOperator,
+    g: Nonlinearity,
+    mu: DiscreteMeasure,
+    report: SolveReport,
+) -> dict:
+    """Absorption mass is bounded by the data mass and the discrete
+    Laplacian mass by twice the data mass, each with 5 % slack."""
+    tv = mu.tv_norm()
+    gm = g_mass(op.grid, g, report.u.values)
+    lm = laplacian_mass(op, report.u.values)
+    return {
+        "tv": tv,
+        "g_mass": gm,
+        "laplacian_mass": lm,
+        "g_mass_ok": gm <= 1.05 * tv + 1e-12,
+        "laplacian_mass_ok": lm <= 2.1 * tv + 1e-12,
+    }
+
+
+def compare_solutions(
+    g: Nonlinearity,
+    mu1: DiscreteMeasure,
+    mu2: DiscreteMeasure,
+    rep1: SolveReport,
+    rep2: SolveReport,
+) -> dict:
+    """Comparison and l1 contraction diagnostics for a data pair."""
+    grid = rep1.u.grid
+    vols = grid.cell_volumes
+    ordered = bool(np.all(rep1.u.values <= rep2.u.values + 1e-8))
+    lhs = float(np.sum(np.abs(g(rep1.u.values) - g(rep2.u.values)) * vols))
+    rhs = (mu1 - mu2).tv_norm()
+    return {
+        "mu1_leq_mu2": mu1.leq(mu2, tol=1e-12),
+        "solutions_ordered": ordered,
+        "g_contraction_lhs": lhs,
+        "g_contraction_rhs": rhs,
+        "contraction_ok": lhs <= rhs * (1.0 + 1e-6) + 1e-12,
+    }
 
 
 # --- seeded instance generator ------------------------------------------------

@@ -91,6 +91,26 @@ def test_solver_failure_exits_with_code_three(tmp_path):
     assert diag["residual_l1"] is None
 
 
+def test_exit_three_says_why(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _huge_atom_config(tmp_path, 1e30)
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "solver failure: solve stopped on nonfinite (residual inf)\n"
+    )
+    # two caps are too few for the march on an 8 pi atom to settle
+    _reduce_config(tmp_path)
+    raw = json.loads((tmp_path / "reduce.json").read_text())
+    cfg = _write(tmp_path, "short.json", dict(raw, schedule=[1.0, 2.0]))
+    assert cli.main(["reduce", "--config", cfg, "--out", str(out)]) == cli.EXIT_SOLVER
+    levels = list(csv.DictReader((out / "levels.csv").read_text().splitlines()))
+    # the default seq_tol is 1e-7 times the area of the unit disk
+    assert capsys.readouterr().err == (
+        "solver failure: the truncation scheme did not settle: last level n=2.0, "
+        f"l1_step={float(levels[-1]['l1_step']):.3e}, seq_tol={1e-7 * math.pi:.3e}\n"
+    )
+
+
 def test_reduce_reports_the_clamped_atom(tmp_path):
     cfg = _reduce_config(tmp_path)
     out = tmp_path / "out"

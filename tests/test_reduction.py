@@ -12,7 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from reduced_measures import reduction
+from reduced_measures import (
+    calculus_check,
+    oracle_reduced,
+    reduction,
+    weak_l1_stability_experiment,
+)
 from reduced_measures.grids import build_grid, negative_laplacian
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import (
@@ -21,14 +26,11 @@ from reduced_measures.nonlinearities import (
     make_two_sided_exponential,
 )
 from reduced_measures.reduction import (
-    calculus_check,
     mollification_schedule,
-    oracle_reduced,
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
     truncation_schedule,
-    weak_l1_stability_experiment,
 )
 from reduced_measures.solver import DEFAULT_TOL, assemble_rhs
 
@@ -148,7 +150,7 @@ def test_mollification_checks_the_whole_schedule_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a level was solved before the schedule was checked")
 
-    monkeypatch.setattr(reduction, "_saturate", no_solve)
+    monkeypatch.setattr(reduction, "solve_semilinear", no_solve)
     grid = _disk(2.0**-9)
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
     with pytest.raises(ValueError, match="unresolvable"):
@@ -282,6 +284,11 @@ def test_failed_solves_raise_with_their_stop_reason(monkeypatch):
         reduction._run_levels(op, g, mu, [1.0], seq_tol=1e-7)
     with pytest.raises(RuntimeError, match="saturation solve stopped on max_iter"):
         reduction._saturate(op, g, mu)
+    # the kernel march and the concentrating stages name their parameter
+    with pytest.raises(RuntimeError, match=r"kernel radius 0\.125 solve stopped on max_iter"):
+        reduce_by_mollification(grid, g, mu)
+    with pytest.raises(RuntimeError, match=r"stage eps=0\.125 solve stopped on max_iter"):
+        weak_l1_stability_experiment(_ball(2.0**-7), make_power(3.0), "concentrating")
 
 
 def test_large_exponential_atom_reduces_without_overflow():

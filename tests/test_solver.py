@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reduced_measures import _kernels, grids
+from reduced_measures import _kernels, check_apriori_estimates, compare_solutions, grids
 from reduced_measures.grids import build_grid, negative_laplacian
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import (
@@ -14,8 +14,6 @@ from reduced_measures.nonlinearities import (
 from reduced_measures.solver import (
     DEFAULT_TOL,
     assemble_rhs,
-    check_apriori_estimates,
-    compare_solutions,
     g_mass,
     laplacian_mass,
     solve_semilinear,
