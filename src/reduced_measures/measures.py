@@ -76,8 +76,7 @@ class DiscreteMeasure:
     def atom_coordinate(self, node: int):
         if self.grid.kind == "radialN" and node == 0:
             return (0.0,)
-        c = self.grid.nodes[node]
-        return (float(c),) if np.ndim(c) == 0 else tuple(float(v) for v in c)
+        return tuple(float(v) for v in np.atleast_1d(self.grid.nodes[node]))
 
     def tv_norm(self) -> float:
         return float(

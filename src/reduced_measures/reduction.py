@@ -164,14 +164,6 @@ def _saturate(op, g: Nonlinearity, mu: DiscreteMeasure, u0: np.ndarray | None = 
     return u
 
 
-def _domain_scale(grid: Grid) -> float:
-    if grid.kind == "radialN":
-        return grid.radius
-    if grid.kind == "interval1d":
-        return grid.length
-    return min(grid.extents)
-
-
 def _radius_ladder(h: float, rho_max: float) -> np.ndarray:
     """Half-octave radii from the first trusted scale out to rho_max."""
     radii = []
@@ -254,7 +246,7 @@ def _extract_atoms(
     vols = grid.cell_volumes
     datum = assemble_rhs(grid, mu) * vols
     absorbed = g(u_sat) * vols
-    scale = _domain_scale(grid)
+    scale = grid.scale
 
     atom_nodes = [node for node, _ in mu.atoms]
     weights = {node: w for node, w in mu.atoms}
@@ -403,7 +395,7 @@ def mollification_schedule(grid: Grid) -> list[float]:
     """Halving kernel radii from an eighth of the domain scale down to the
     4h floor (below that the kernel no longer spreads mass between cells)."""
     floor = 4.0 * grid.h
-    r = _domain_scale(grid) / 8.0
+    r = grid.scale / 8.0
     radii = []
     while r > floor:
         radii.append(r)
@@ -466,8 +458,8 @@ def reduce_by_mollification(
         # unsmoothed datum: the kernel-floor state obeys the budget of the
         # *mollified* datum, which would bias flux readings inside the
         # kernel radius
-        u_cls, _, _, exact = _run_levels(op, g, mu, truncation_schedule(), seq_tol, u0=u)
-        diagnostics["exact"] = converged = exact
+        u_cls, _, converged, exact = _run_levels(op, g, mu, truncation_schedule(), seq_tol, u0=u)
+        diagnostics["exact"] = exact
         mu_star, u_limit, diagnostics["extraction"] = _limit(op, g, mu, u_cls, exact)
 
     return ReducedResult(

@@ -112,24 +112,28 @@ def test_exit_three_says_why(tmp_path, capsys):
 
 
 def test_reduce_reports_the_clamped_atom(tmp_path):
-    cfg = _reduce_config(tmp_path)
-    out = tmp_path / "out"
-    assert cli.main(["reduce", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    # mollification classifies the atom with the truncation march, so it
+    # settles (and exits 0) when that march does
+    payload = json.loads(open(_reduce_config(tmp_path)).read())
+    for scheme in ("truncation", "mollification"):
+        cfg = _write(tmp_path, f"{scheme}.json", {**payload, "scheme": scheme})
+        out = tmp_path / scheme
+        assert cli.main(["reduce", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
 
-    reduced = json.loads((out / "reduced.json").read_text())
-    assert reduced["scheme"] == "truncation"
-    assert reduced["converged"] is True
-    # calibration accuracy is covered by the reduction tests at finer h;
-    # here we only require the structural clamp below the critical mass
-    ((atom),) = reduced["mu_star"]["atoms"]
-    assert atom["at"] == [0.0]  # the origin atom sits at r = 0, not at node 0
-    assert 0.6 * 4 * math.pi <= atom["weight"] <= 4 * math.pi * (1 + 1e-9)
-    assert reduced["defect_tv"] == pytest.approx(8 * math.pi - atom["weight"])
+        reduced = json.loads((out / "reduced.json").read_text())
+        assert reduced["scheme"] == scheme
+        assert reduced["converged"] is True
+        # calibration accuracy is covered by the reduction tests at finer h;
+        # here we only require the structural clamp below the critical mass
+        ((atom),) = reduced["mu_star"]["atoms"]
+        assert atom["at"] == [0.0]  # the origin atom sits at r = 0, not at node 0
+        assert 0.6 * 4 * math.pi <= atom["weight"] <= 4 * math.pi * (1 + 1e-9)
+        assert reduced["defect_tv"] == pytest.approx(8 * math.pi - atom["weight"])
 
-    with open(out / "levels.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "n"
-    assert len(rows) > 2
+        with open(out / "levels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "n"
+        assert len(rows) > 2
 
 
 def test_reduce_output_is_byte_deterministic(tmp_path):
@@ -175,6 +179,13 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
         # the cut-off at this delta reaches the boundary ring
         ("capacity", {"grid": {"kind": "rect2d", "h": 2.0**-7}, "delta": 1e-6,
                       "sets": [{"kind": "point", "at": [0.5, 0.5]}]}),
+        # rect2d takes exactly two extents, and an atom one coordinate per axis
+        ("reduce", {**reduce_base, "grid": {"kind": "rect2d", "h": 0.25, "extents": [1.0]}}),
+        ("reduce", {**reduce_base, "grid": {"kind": "rect2d", "h": 0.25,
+                                            "extents": [1.0, 1.0, 1.0]}}),
+        ("solve", {"grid": {"kind": "interval1d", "h": 2.0**-5},
+                   "nonlinearity": {"kind": "exp"},
+                   "measure": {"atoms": [{"at": [0.5, 0.9], "weight": 1.0}]}}),
     ):
         path = _write(tmp_path, f"{command}.json", payload)
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG, payload

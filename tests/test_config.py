@@ -30,9 +30,9 @@ def test_round_trip_builds_matching_objects():
 
 def test_grid_from_spec_covers_every_kind():
     g1 = grid_from_spec({"kind": "interval1d", "h": 0.125, "length": 2.0})
-    assert g1.kind == "interval1d" and g1.length == 2.0
+    assert g1.kind == "interval1d" and g1.extents == (2.0,) and g1.shape == (15,)
     g2 = grid_from_spec({"kind": "rect2d", "h": 0.25, "extents": [2.0, 1.0]})
-    assert g2.kind == "rect2d" and g2.extents == (2.0, 1.0)
+    assert g2.kind == "rect2d" and g2.extents == (2.0, 1.0) and g2.shape == (3, 7)
     with pytest.raises(ConfigError):
         grid_from_spec({"kind": "hex", "h": 0.1})
     with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from reduced_measures import grids
 from reduced_measures.grids import build_grid, negative_laplacian, sphere_area
@@ -63,13 +64,33 @@ def test_owner_node_snaps_to_nearest_cell():
     with pytest.raises(ValueError):
         gr.owner_node((1.5, 0.5))
 
+    # one coordinate per lattice axis: extra coordinates are not dropped
+    for grid, point in (
+        (g, [0.5, 0.9]),
+        (gr, (0.5,)),
+        (build_grid("radialN", 2.0**-4, dim=2, radius=1.0), (0.3, 0.4)),
+    ):
+        with pytest.raises(ValueError, match="coordinate"):
+            grid.owner_node(point)
+
 
 def test_boundary_ring_and_interior_are_disjoint():
-    g = build_grid("rect2d", 2.0**-4, extents=(1.0, 1.0))
-    ring = g.boundary_adjacent
-    interior = g.interior_mask(4 * g.h)
-    assert ring.any()
-    assert not (ring & interior).any()
+    gi = build_grid("interval1d", 2.0**-4, length=1.0)
+    gn = build_grid("radialN", 2.0**-4, dim=2, radius=1.0)
+    gr = build_grid("rect2d", 2.0**-4, extents=(1.0, 0.5))
+    # both ends of the interval, the outer end of the radius, the ring
+    assert np.flatnonzero(gi.boundary_adjacent).tolist() == [0, gi.n_nodes - 1]
+    assert np.flatnonzero(gn.boundary_adjacent).tolist() == [gn.n_nodes - 1]
+    ring = gr.boundary_adjacent.reshape(7, 15)
+    assert ring[[0, -1], :].all() and ring[:, [0, -1]].all()
+    assert not ring[1:-1, 1:-1].any()
+    x, y = gr.nodes[:, 0], gr.nodes[:, 1]
+    on_edge = np.isclose(np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 0.5 - y)), gr.h)
+    assert np.array_equal(gr.boundary_adjacent, on_edge)
+    for g in (gi, gn, gr):
+        interior = g.interior_mask(2 * g.h)
+        assert interior.any()
+        assert not (g.boundary_adjacent & interior).any()
 
 
 def test_operator_is_an_m_matrix_and_apply_matches_matrix():
@@ -96,6 +117,24 @@ def test_operator_is_an_m_matrix_and_apply_matches_matrix():
         for u in (x, rng.normal(size=g.n_nodes)):
             direct = float(np.sum(g.cell_volumes * (abs(mat) @ np.abs(u))))
             assert float(w @ np.abs(u)) == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kind, h, kw",
+    [
+        ("interval1d", 2.0**-4, {"length": 1.0}),
+        ("interval1d", 0.5, {"length": 1.0}),
+        ("rect2d", 2.0**-3, {"extents": (2.0, 1.0)}),
+        ("rect2d", 0.5, {"extents": (4.0, 1.0)}),
+        ("rect2d", 0.5, {"extents": (1.0, 3.5)}),
+        ("rect2d", 0.5, {"extents": (1.0, 1.0)}),
+    ],
+)
+def test_lattice_operator_is_the_kronecker_sum_of_second_differences(kind, h, kw):
+    g = build_grid(kind, h, **kw)
+    diffs = [sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) / h**2 for n in g.shape]
+    expect = diffs[0] if len(diffs) == 1 else sp.kronsum(diffs[1], diffs[0])
+    assert np.array_equal(negative_laplacian(g).matrix.toarray(), expect.toarray())
 
 
 def test_shifted_solve_matches_dense_reference():
@@ -134,7 +173,8 @@ def test_sine_transform_is_the_orthonormal_dst1_of_both_axes(shape):
 
 def test_only_rect2d_work_imports_scipy_fft(tmp_path):
     # scipy.fft loads scipy.special; interval and radial work must not pay
-    # for it, so the transform imports it at the first rect2d solve
+    # for it, so the transform imports it at the first rect2d solve.  The
+    # interval shares the lattice code with rect2d but solves banded
     script = f"""
 import json, math, sys
 from reduced_measures import cli
@@ -148,6 +188,7 @@ def solve(grid, at):
     assert solve_semilinear(negative_laplacian(grid), make_exponential(), mu).converged
 
 solve(build_grid("radialN", 2.0**-7, dim=2, radius=1.0), 0.0)
+solve(build_grid("interval1d", 2.0**-7, length=1.0), 0.5)
 config = {{
     "grid": {{"kind": "radialN", "h": 2.0**-7, "dim": 2, "radius": 1.0}},
     "nonlinearity": {{"kind": "exp"}},

@@ -132,6 +132,19 @@ def test_mollification_agrees_with_truncation_on_good_data():
     assert gap <= 1e-8 * norm
 
 
+def test_mollification_reports_the_convergence_of_its_classification_march():
+    # a reduced atom is classified by the truncation march, so mollification
+    # settles exactly when truncation does; "exact" stays the cap's report
+    grid = _disk(2.0**-10)
+    mu = DiscreteMeasure.from_atoms(grid, [(0.0, 8 * math.pi)])
+    g = make_exponential()
+    r_total = reduce_by_truncation(grid, g, mu)
+    r_moll = reduce_by_mollification(grid, g, mu)
+    assert r_total.converged and r_moll.converged
+    assert r_moll.diagnostics["exact"] is False
+    assert r_moll.mu_star.atoms == r_total.mu_star.atoms
+
+
 def test_mollification_requires_a_convex_family():
     grid = _disk(2.0**-8)
     mu = DiscreteMeasure.from_atoms(grid, [(0.0, 1.0)])
