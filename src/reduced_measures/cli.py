@@ -34,7 +34,6 @@ from .config import ConfigError, ExperimentConfig, grid_from_spec, read_config
 from .grids import Grid, negative_laplacian
 from .measures import DiscreteMeasure, tv_distance
 from .reduction import (
-    check_mollification_schedule,
     reduce_by_mollification,
     reduce_by_truncation,
     reduce_signed,
@@ -131,11 +130,8 @@ def _solution_rows(grid: Grid, u: np.ndarray) -> tuple[list[str], list[list]]:
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
-    grid = cfg.build_grid()
-    g = cfg.build_nonlinearity()
-    mu = cfg.build_measure(grid)
-    op = negative_laplacian(grid)
-    report = solve_semilinear(op, g, mu)
+    grid, g, mu = cfg.grid, cfg.g, cfg.mu
+    report = solve_semilinear(negative_laplacian(grid), g, mu)
 
     header, rows = _solution_rows(grid, report.u.values)
     _write_csv(os.path.join(out_dir, "solution.csv"), header, rows)
@@ -175,22 +171,12 @@ _LEVEL_COLUMNS = [
 
 
 def _run_reduction(cfg: ExperimentConfig):
-    grid = cfg.build_grid()
-    g = cfg.build_nonlinearity()
-    mu = cfg.build_measure(grid)
-    tols = cfg.resolve_tolerances()
-    if cfg.scheme == "mollification":
-        try:
-            check_mollification_schedule(mu, cfg.schedule)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     runner = _SCHEMES[cfg.scheme]
-    result = runner(grid, g, mu, cfg.schedule, seq_tol=tols["seq_tol"])
-    return grid, g, mu, result
+    return runner(cfg.grid, cfg.g, cfg.mu, cfg.schedule, seq_tol=cfg.seq_tol)
 
 
 def run_reduce(cfg: ExperimentConfig, out_dir: str) -> int:
-    grid, g, mu, result = _run_reduction(cfg)
+    result = _run_reduction(cfg)
 
     rows = [[level.get(col) for col in _LEVEL_COLUMNS] for level in result.levels]
     _write_csv(os.path.join(out_dir, "levels.csv"), _LEVEL_COLUMNS, rows)
@@ -199,11 +185,11 @@ def run_reduce(cfg: ExperimentConfig, out_dir: str) -> int:
         "scheme": result.scheme,
         "converged": bool(result.converged),
         "mu_star": _measure_json(result.mu_star),
-        "defect_tv": float(tv_distance(mu, result.mu_star)),
+        "defect_tv": float(tv_distance(cfg.mu, result.mu_star)),
         "u_star_l1": float(
-            np.sum(np.abs(result.u_star.values) * grid.cell_volumes)
+            np.sum(np.abs(result.u_star.values) * cfg.grid.cell_volumes)
         ),
-        "gmass": g_mass(grid, g, result.u_star.values),
+        "gmass": g_mass(cfg.grid, cfg.g, result.u_star.values),
     }
     for key in ("exact", "direct_vs_combined_l1", "direct_vs_combined_tv"):
         if key in result.diagnostics:
@@ -223,6 +209,8 @@ def run_reduce(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _compact_set(grid: Grid, spec: dict):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"capacity set must be an object, got {spec!r}")
     kind = spec.get("kind")
     tag = spec.get("tag", kind or "set")
     try:
@@ -236,7 +224,7 @@ def _compact_set(grid: Grid, spec: dict):
             return capacity_mod.ball_set(
                 grid, spec["center"], float(spec["radius"]), tag=tag
             )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"capacity set {tag!r}: {exc}") from exc
     raise ConfigError(f"capacity set: unknown kind {kind!r}")
 
@@ -246,8 +234,8 @@ def run_capacity(raw: dict, out_dir: str) -> int:
         raise ConfigError("capacity config needs a 'grid' section")
     grid = grid_from_spec(raw["grid"])
     sets = raw.get("sets")
-    if not sets:
-        raise ConfigError("capacity config needs a non-empty 'sets' list")
+    if not sets or not isinstance(sets, list):
+        raise ConfigError(f"capacity config needs a non-empty 'sets' list, got {sets!r}")
     delta = raw.get("delta", 0.02)
     if not (
         isinstance(delta, (int, float))
@@ -258,8 +246,7 @@ def run_capacity(raw: dict, out_dir: str) -> int:
     op = negative_laplacian(grid)
 
     rows = []
-    for spec in sets:
-        K = _compact_set(grid, spec)
+    for K in [_compact_set(grid, spec) for spec in sets]:
         value = capacity_mod.cap_h1(grid, K, op=op)["value"]
         try:
             witness = capacity_mod.construct_psi(grid, K, delta=delta, op=op)
@@ -336,7 +323,7 @@ def _sweep_cell(base: dict, parameter: str, value: float) -> tuple[list, float]:
     try:
         raw = _apply_sweep_value(base, parameter, value)
         cfg = ExperimentConfig.from_dict(raw)
-        grid, g, mu, result = _run_reduction(cfg)
+        result = _run_reduction(cfg)
         weights = ";".join(
             repr(float(w)) for _, w in sorted(result.mu_star.atoms)
         )
@@ -345,22 +332,21 @@ def _sweep_cell(base: dict, parameter: str, value: float) -> tuple[list, float]:
             value,
             "ok",
             result.converged,
-            float(tv_distance(mu, result.mu_star)),
+            float(tv_distance(cfg.mu, result.mu_star)),
             weights,
-            g_mass(grid, g, result.u_star.values),
+            g_mass(cfg.grid, cfg.g, result.u_star.values),
             sum(int(level.get("newton_iterations", 0)) for level in result.levels),
         ]
-    except (ConfigError, RuntimeError, ValueError) as exc:
+    except (ConfigError, RuntimeError) as exc:
         row = [parameter, value, f"failed: {exc}", "", "", "", "", ""]
     return row, time.perf_counter() - start
 
 
 def run_sweep(raw: dict, out_dir: str) -> int:
-    if not isinstance(raw, dict) or "base" not in raw or "sweep" not in raw:
-        raise ConfigError("sweep config needs 'base' and 'sweep' sections")
-    base = raw["base"]
+    if not isinstance(raw, dict) or "base" not in raw or not isinstance(raw.get("sweep"), dict):
+        raise ConfigError("sweep config needs a 'base' section and a 'sweep' object")
+    base, sweep = raw["base"], raw["sweep"]
     ExperimentConfig.from_dict(base)  # validate eagerly: bad base is exit 2
-    sweep = raw["sweep"]
     parameter = sweep.get("parameter")
     if parameter not in _SWEEP_PARAMETERS:
         raise ConfigError(
@@ -373,6 +359,8 @@ def run_sweep(raw: dict, out_dir: str) -> int:
         values = sorted(float(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep values must be numbers, got {values!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep values must be finite, got {values}")
 
     cells = [_sweep_cell(base, parameter, v) for v in values]
     rows = [row for row, _ in cells]

@@ -94,8 +94,8 @@ class Grid:
         the point to that cell (0.0 when the point lies inside it).  A point
         has one coordinate per axis of ``shape``: (x,) or (x, y)."""
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.shape != (len(self.shape),):
-            raise ValueError(f"{self.kind} atoms need {len(self.shape)} coordinate(s), got {point}")
+        if p.shape != (len(self.shape),) or not np.isfinite(p).all():
+            raise ValueError(f"{self.kind} atoms need {len(self.shape)} finite coordinate(s), got {point}")
         if self.kind == "radialN" and p[0] < 1.5 * self.h:
             if p[0] < 0:
                 raise ValueError("radial coordinate must be >= 0")
@@ -173,7 +173,7 @@ def build_grid(
 
     def steps(extent: float) -> int:
         m = extent / h
-        mi = int(round(m))
+        mi = int(round(m)) if math.isfinite(m) else 0
         if abs(m - mi) > 1e-9 * max(1.0, m) or mi < 2:
             raise ValueError(f"h={h} does not evenly divide extent {extent}")
         return mi

@@ -9,6 +9,7 @@ the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,10 @@ from .grids import Grid
 def _merge_atoms(entries) -> tuple[tuple[int, float], ...]:
     acc: dict[int, float] = {}
     for node, w in entries:
-        acc[node] = acc.get(node, 0.0) + float(w)
+        w = float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"atom weight {w} at node {node} is not finite")
+        acc[node] = acc.get(node, 0.0) + w
     return tuple(
         (n, w) for n, w in sorted(acc.items()) if abs(w) > 0.0
     )
@@ -35,6 +39,8 @@ class DiscreteMeasure:
         d = np.asarray(self.density, dtype=float)
         if d.shape != (self.grid.n_nodes,):
             raise ValueError("density must have one value per node")
+        if not np.isfinite(d).all():
+            raise ValueError("density must be finite")
         object.__setattr__(self, "density", d)
         object.__setattr__(self, "atoms", _merge_atoms(self.atoms))
         for node, _ in self.atoms:

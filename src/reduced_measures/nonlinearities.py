@@ -30,8 +30,9 @@ class Nonlinearity:
     def __post_init__(self):
         if self.kind not in ("power", "exp", "exp2sided"):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "power" and self.p < 1.0:
-            raise ValueError("power exponent must be >= 1")
+        if self.kind == "power" and not 1.0 <= self.p < math.inf:
+            reason = "must be >= 1" if self.p < 1.0 else f"{self.p} is not finite"
+            raise ValueError(f"power exponent {reason}")
 
     # --- evaluation --------------------------------------------------------
     # A scalar is evaluated as a one-element array (numpy's scalar power

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from reduced_measures import cli
+from reduced_measures import cli, config
 
 DISK = {"kind": "radialN", "h": 2.0**-7, "dim": 2, "radius": 1.0}
 
@@ -164,7 +164,40 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
         "sets": [{"kind": "point", "at": 0.0}],
     }
     mollify = {**reduce_base, "scheme": "mollification"}
+    line = {"kind": "interval1d", "h": 2.0**-5}
+    nan, inf = float("nan"), float("inf")
     for command, payload in (
+        # a section of the wrong type
+        ("reduce", {**reduce_base, "grid": 5}),
+        ("reduce", {**reduce_base, "nonlinearity": 5}),
+        ("reduce", {**reduce_base, "measure": 5}),
+        ("reduce", {**reduce_base, "measure": {"density": 5}}),
+        ("reduce", {**reduce_base, "measure": {"atoms": 5}}),
+        ("reduce", {**reduce_base, "tolerances": [1]}),
+        ("reduce", {**reduce_base, "measure": {"density": {"value": "x"}}}),
+        ("reduce", {**reduce_base, "grid": line,
+                    "measure": {"density": {"kind": "values", "values": ["a"]}}}),
+        # seq_tol is a positive finite number: at 0 or below the march never stops
+        ("reduce", {**reduce_base, "measure": {"atoms": [{"at": 0.0, "weight": 25.1}]},
+                    "tolerances": {"seq_tol": "x"}}),
+        ("reduce", {**reduce_base, "tolerances": {"seq_tol": -1}}),
+        ("reduce", {**reduce_base, "tolerances": {"seq_tol": 0}}),
+        # non-finite numbers, and a non-integer dimension
+        ("reduce", {**reduce_base, "measure": {"atoms": [{"at": 0.0, "weight": nan}]}}),
+        ("reduce", {**reduce_base, "measure": {"atoms": [{"at": 0.0, "weight": inf}]}}),
+        ("reduce", {**reduce_base, "measure": {"density": {"value": nan}}}),
+        ("reduce", {**reduce_base, "nonlinearity": {"kind": "power", "p": nan}}),
+        ("reduce", {**reduce_base, "nonlinearity": {"kind": "power", "p": inf}}),
+        ("reduce", {**reduce_base, "grid": {**DISK, "dim": 2.7}}),
+        ("reduce", {**reduce_base, "grid": {**line, "length": inf}}),
+        ("reduce", {**reduce_base, "grid": line,
+                    "measure": {"atoms": [{"at": inf, "weight": 1.0}]}}),
+        ("reduce", {**reduce_base, "out_dir": 5}),
+        ("capacity", {**capacity_base, "sets": {"kind": "point"}}),
+        ("capacity", {**capacity_base, "sets": [1]}),
+        ("capacity", {**capacity_base, "sets": [{"kind": "point", "at": {}}]}),
+        ("sweep", {"base": reduce_base, "sweep": [1]}),
+        ("sweep", {"base": reduce_base, "sweep": {"parameter": "h", "values": [nan]}}),
         ("reduce", {**mollify, "nonlinearity": {"kind": "exp2sided"}}),
         ("reduce", {**reduce_base, "schedule": [0.0, 1.0]}),
         ("reduce", {**reduce_base, "schedule": "abc"}),
@@ -190,6 +223,35 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
         path = _write(tmp_path, f"{command}.json", payload)
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG, payload
         assert "config error:" in capsys.readouterr().err
+
+
+def test_reduce_builds_its_grid_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_grid(*args, **kwargs):
+        calls.append(args)
+        return build_grid(*args, **kwargs)
+
+    build_grid = config.build_grid
+    monkeypatch.setattr(config, "build_grid", counting_build_grid)
+    cfg = _reduce_config(tmp_path, weight=2.0)
+    assert cli.main(["reduce", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_sweep_with_a_malformed_base_measure_exits_two(tmp_path, capsys):
+    # a planar point on the radial grid: every row would fail the same way
+    base = {
+        "grid": DISK,
+        "nonlinearity": {"kind": "exp"},
+        "measure": {"atoms": [{"at": [0.5, 0.5], "weight": 2.0}]},
+    }
+    cfg = _write(tmp_path, "sweep.json",
+                 {"base": base, "sweep": {"parameter": "h", "values": [2.0**-6]}})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: measure:")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_capacity_closed_forms_in_csv(tmp_path):

@@ -20,12 +20,10 @@ def _base(**overrides):
 
 def test_round_trip_builds_matching_objects():
     cfg = ExperimentConfig.from_dict(_base())
-    grid = cfg.build_grid()
-    assert grid.kind == "radialN" and grid.dim == 2
-    mu = cfg.build_measure(grid)
-    assert mu.atoms == ((0, 6.0),)
-    g = cfg.build_nonlinearity()
-    assert g(1.0) == pytest.approx(math.e - 1.0)
+    assert cfg.grid.kind == "radialN" and cfg.grid.dim == 2
+    assert cfg.mu.grid is cfg.grid and cfg.mu.atoms == ((0, 6.0),)
+    assert cfg.g(1.0) == pytest.approx(math.e - 1.0)
+    assert (cfg.scheme, cfg.schedule, cfg.seq_tol, cfg.out_dir) == ("truncation", None, None, ".")
 
 
 def test_grid_from_spec_covers_every_kind():
@@ -46,10 +44,8 @@ def test_density_measures():
             measure={"density": {"kind": "constant", "value": 2.5}},
         )
     )
-    grid = cfg.build_grid()
-    mu = cfg.build_measure(grid)
-    assert np.allclose(mu.density, 2.5)
-    assert mu.atoms == ()
+    assert np.allclose(cfg.mu.density, 2.5)
+    assert cfg.mu.atoms == ()
 
     cfg2 = ExperimentConfig.from_dict(
         _base(
@@ -57,8 +53,7 @@ def test_density_measures():
             measure={"density": {"kind": "sin1d", "amplitude": 1.0, "frequency": 2}},
         )
     )
-    mu2 = cfg2.build_measure(cfg2.build_grid())
-    assert mu2.density.max() > 0.9
+    assert cfg2.mu.density.max() > 0.9
 
 
 def test_malformed_atom_entries_are_config_errors():
@@ -68,11 +63,8 @@ def test_malformed_atom_entries_are_config_errors():
         [{"at": [0.5]}],
         [{"at": [0.5], "weight": "heavy"}],
     ):
-        cfg = ExperimentConfig.from_dict(
-            _base(grid=grid_spec, measure={"atoms": atoms})
-        )
         with pytest.raises(ConfigError):
-            cfg.build_measure(cfg.build_grid())
+            ExperimentConfig.from_dict(_base(grid=grid_spec, measure={"atoms": atoms}))
 
 
 def test_unknown_keys_and_schemes_fail_eagerly():
@@ -92,8 +84,8 @@ def test_unknown_keys_and_schemes_fail_eagerly():
 
 def test_tolerances_overlay_the_defaults():
     cfg = ExperimentConfig.from_dict(_base(tolerances={"seq_tol": 1e-6}))
-    assert cfg.resolve_tolerances() == {"seq_tol": 1e-6}
-    assert ExperimentConfig.from_dict(_base()).resolve_tolerances() == {"seq_tol": None}
+    assert cfg.seq_tol == 1e-6
+    assert ExperimentConfig.from_dict(_base()).seq_tol is None  # the scheme's default
     for key in ("good_tol", "tol"):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_base(tolerances={key: 1e-6}))

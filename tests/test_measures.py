@@ -191,6 +191,15 @@ def test_atoms_at_the_same_node_merge():
     assert z.atoms == ()
 
 
+def test_non_finite_weights_and_densities_are_rejected():
+    # a NaN atom must not vanish in the merge, where abs(nan) > 0 is False
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            DiscreteMeasure(GRID, np.zeros(N), ((0, 1.0), (0, weight)))
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure.from_density(GRID, float("nan"))
+
+
 def test_measures_on_different_grids_do_not_mix():
     other = build_grid("radialN", 2.0**-5, dim=2, radius=1.0)
     with pytest.raises(ValueError):
