@@ -1,8 +1,8 @@
-"""The tridiagonal solve and the damped-Newton loop.
+"""The LDL^T tridiagonal solve and the damped-Newton loop.
 
 ``newton`` is the one semilinear solve loop.  It sees the operator only
 through ``apply``, ``solve`` with a diagonal shift and ``abs_weights``, so
-tridiagonal grids (banded solves) and rect2d (preconditioned CG) run the
+tridiagonal grids (LDL^T solves) and rect2d (preconditioned CG) run the
 same iteration.  It stops at the caller's tolerance or, where that tolerance
 lies below what floating point can resolve, at the rounding floor of the
 residual, and it returns the reason it stopped.  It is an inexact Newton
@@ -14,7 +14,7 @@ solve turns into fewer iterations and a direct one ignores.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 MAX_BACKTRACKS = 30
 MAX_STALLS = 5
@@ -25,19 +25,19 @@ EPS = float(np.finfo(float).eps)
 # perfbench's small-mixed solves, 5 alternated runs on a 2-vCPU VM).
 CONTRACTION = 4.0
 # Multiple of eps * sum(|L||u| + |g(u)| + |b|) vol accepted as the rounding
-# floor of the residual.  Measured over perfbench's four workloads and the
-# test suite: at all 243 floor stops (radialN, p = 3 and p = 6 in 3-d at
-# h = 2^-13 and 2^-14, exp in 2-d at 2^-13) the residual was 0.12-0.18
-# times eps * sum(...), and every tested iterate that was not at the floor
-# read over 2e6 times it.  So the stops are the same for any factor from 1
-# to 1e6; 16 leaves about 90x headroom over the largest ratio seen and
-# still bounds the backward error by 16 eps.
+# floor of the residual.  Measured over one pass of each of perfbench's four
+# workloads and the test suite: at all 147 floor stops (radialN, p = 3 and
+# p = 6 in 3-d at h = 2^-13 and 2^-14, exp in 2-d at 2^-13) the residual
+# was 0.12-0.19 times eps * sum(...), and every tested iterate that was not
+# at the floor read over 2e6 times it.  So the stops are the same for any
+# factor from 1 to 1e6; 16 leaves about 80x headroom over the largest ratio
+# seen and still bounds the backward error by 16 eps.
 FLOOR_FACTOR = 16.0
 # Forcing terms (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996, choice
 # 2).  Newton step k asks solve for ||F + J s||_2 <= eta ||F||_2 with
 # eta_0 = FORCING_MAX, eta_k = min(FORCING_MAX, FORCING_GAMMA (res_k/res_k-1)^2),
 # raised to OVERSOLVE tol/res (the step need not cut res far below tol) and
-# to CG_RTOL.  Only rect2d's CG reads eta; banded solves are exact.  Counted
+# to CG_RTOL.  Only rect2d's CG reads eta; LDL^T solves are exact.  Counted
 # against CG run to CG_RTOL at every step, with the same solves, stop reasons
 # and atoms (direct_vs_combined_rel equal to 8 figures):
 #   rect2d-signed (h = 1/96)  3,540 -> 1,668 sine transforms, 250 -> 261 steps;
@@ -60,17 +60,20 @@ OVERSOLVE = 0.1
 CG_RTOL = 1e-10
 
 
-def thomas_solve(dl, d, du, b):
-    # LAPACK gtsv, which scipy.linalg.solve_banded calls for one sub- and
-    # one super-diagonal, without its banded-storage copy; it raises as
-    # solve_banded does
-    if d.shape[0] == 1:
-        return b / d
+def thomas_solve(d, e, b):
+    """Solve the symmetric positive definite tridiagonal system with
+    diagonal ``d`` and off-diagonal ``e``: LAPACK ptsv, an LDL^T
+    factorization without pivoting.  ``d`` and ``b`` may be overwritten.
+    Raises ValueError for a non-finite entry and LinAlgError where the
+    matrix is not positive definite."""
     if not (np.isfinite(d).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(dl, d, du, b)[3:]
+    if d.shape[0] == 1:  # the wrapper rejects an empty e
+        x, info = b / d, int(d[0] <= 0.0)
+    else:
+        x, info = dptsv(d, e, b, overwrite_d=1, overwrite_b=1)[2:]
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("matrix is not positive definite")
     return x
 
 
@@ -97,6 +100,10 @@ def newton(op, g, b, u0, tol, max_iter):
     ``stalled``    more than MAX_STALLS Picard steps in a row;
     ``max_iter``   max_iter steps were taken.
 
+    Each trial point's residual takes g and its slope from one
+    ``value_and_slope``; the step from an accepted point, the Picard lam and
+    the floor test reuse what was stored for it.
+
     Each Newton step solves its linear system to the forcing term above;
     the stop tests always use the recomputed residual, so an inexact step
     changes how many steps are taken, never what ``tol`` and ``floor``
@@ -105,12 +112,13 @@ def newton(op, g, b, u0, tol, max_iter):
     vols = op.grid.cell_volumes
 
     def residual(v):
-        f = op.apply(v) + g(v) - b
-        return f, float(np.sum(np.abs(f) * vols))
+        gv, dv = g.value_and_slope(v)
+        f = op.apply(v) + gv - b
+        return f, float(np.sum(np.abs(f) * vols)), gv, dv
 
-    def at_floor(v, res):
+    def at_floor():
         # built here, not per solve: most solves meet tol and never get here
-        rounding = op.abs_weights() @ np.abs(v) + np.sum((np.abs(g(v)) + np.abs(b)) * vols)
+        rounding = op.abs_weights() @ np.abs(u) + np.sum((np.abs(gu) + np.abs(b)) * vols)
         return res <= FLOOR_FACTOR * EPS * float(rounding)
 
     def stop_reason():
@@ -118,7 +126,7 @@ def newton(op, g, b, u0, tol, max_iter):
             return "tol"
         if not res < np.inf:
             return "nonfinite"
-        if res > prev / CONTRACTION and at_floor(u, res):
+        if res > prev / CONTRACTION and at_floor():
             return "floor"
         if stalls > MAX_STALLS:
             return "stalled"
@@ -129,9 +137,10 @@ def newton(op, g, b, u0, tol, max_iter):
     mass = float(np.sum(np.abs(b) * vols))
     tol = tol * max(1.0, mass)
     u = u0.copy()
-    f, res = residual(u)
+    f, res, gu, du = residual(u)
     if not res < mass:  # also where g overflowed at u0
-        u, f, res = np.zeros_like(u), -b, mass
+        u = np.zeros_like(u)
+        f, res, gu, du = residual(u)  # f = -b and res = mass, as g(0) = 0
     prev = np.inf
     trace = []
     stalls = 0
@@ -139,21 +148,21 @@ def newton(op, g, b, u0, tol, max_iter):
         eta = FORCING_MAX if prev == np.inf else FORCING_GAMMA * (res / prev) ** 2
         eta = max(min(eta, FORCING_MAX), OVERSOLVE * tol / res, CG_RTOL)
         prev = res
-        step = op.solve(-f, g.deriv(u), eta)
+        step = op.solve(-f, du, eta)
         s = 1.0
         for _bt in range(MAX_BACKTRACKS):
             u_try = u + s * step
-            f_try, res_try = residual(u_try)
+            f_try, res_try, g_try, d_try = residual(u_try)
             if res_try < res:
-                u, f, res = u_try, f_try, res_try
+                u, f, res, gu, du = u_try, f_try, res_try, g_try, d_try
                 stalls = 0
                 break
             s *= 0.5
         else:
             stalls += 1
-            lam = float(np.max(g.deriv(u))) + 1.0
-            u = op.solve(b + lam * u - g(u), lam)
-            f, res = residual(u)
+            lam = float(np.max(du)) + 1.0
+            u = op.solve(b + lam * u - gu, lam)
+            f, res, gu, du = residual(u)
         trace.append(res)
     return u, reason, len(trace), res, np.asarray(trace)
 

@@ -178,7 +178,7 @@ def _run_reduction(cfg: ExperimentConfig):
 def run_reduce(cfg: ExperimentConfig, out_dir: str) -> int:
     result = _run_reduction(cfg)
 
-    rows = [[level.get(col) for col in _LEVEL_COLUMNS] for level in result.levels]
+    rows = [[level[col] for col in _LEVEL_COLUMNS] for level in result.levels]
     _write_csv(os.path.join(out_dir, "levels.csv"), _LEVEL_COLUMNS, rows)
 
     summary = {
@@ -335,7 +335,7 @@ def _sweep_cell(base: dict, parameter: str, value: float) -> tuple[list, float]:
             float(tv_distance(cfg.mu, result.mu_star)),
             weights,
             g_mass(cfg.grid, cfg.g, result.u_star.values),
-            sum(int(level.get("newton_iterations", 0)) for level in result.levels),
+            sum(level["newton_iterations"] for level in result.levels),
         ]
     except (ConfigError, RuntimeError) as exc:
         row = [parameter, value, f"failed: {exc}", "", "", "", "", ""]

@@ -221,15 +221,19 @@ def _sine_transform(a: np.ndarray) -> np.ndarray:
 class LinearOperator:
     """The discrete negative Laplacian with Dirichlet rows eliminated.
 
-    On one axis (interval1d, radialN) the three diagonals are kept and solved
-    by the Thomas kernel; on two (rect2d) L is CSR, diagonalised by
-    scipy.fft.dstn's type-I sine transform.  diag(cell_volumes) @ matrix is symmetric.
+    diag(cell_volumes) @ matrix is symmetric.  On one axis (interval1d,
+    radialN) the three diagonals of L are kept, and ``e``, the off-diagonal
+    of diag(cell_volumes) L: minus each interior face's conductance.  A
+    solve factors that symmetric positive definite form by LDL^T.  On two
+    axes (rect2d) L is CSR, diagonalised by scipy.fft.dstn's type-I sine
+    transform.
     """
 
     grid: Grid
     dl: Optional[np.ndarray]
     d: Optional[np.ndarray]
     du: Optional[np.ndarray]
+    e: Optional[np.ndarray] = None
     _csr: Optional[sp.csr_matrix] = field(default=None, repr=False)
 
     @property
@@ -274,13 +278,15 @@ class LinearOperator:
     ) -> np.ndarray:
         """Solve (L + diag(shift)) x = rhs; shift >= 0 keeps the M-matrix.
 
-        Tridiagonal grids solve exactly.  On rect2d no shift or a scalar one
-        is one sine-transform pair, also exact, and an array shift runs CG
-        preconditioned by L^-1 until ||rhs - (L + diag(shift)) x||_2 <=
-        rtol ||rhs||_2, then splu past CG_MAX_ITER."""
+        Tridiagonal grids solve exactly, by LDL^T of the weighted system
+        diag(vol) (L + diag(shift)) x = diag(vol) rhs.  On rect2d no shift
+        or a scalar one is one sine-transform pair, also exact, and an array
+        shift runs CG preconditioned by L^-1 until ||rhs - (L + diag(shift)) x||_2
+        <= rtol ||rhs||_2, then splu past CG_MAX_ITER."""
         if self.is_tridiagonal:
+            vols = self.grid.cell_volumes
             d = self.d if shift is None else self.d + shift
-            return _kernels.thomas_solve(self.dl, d, self.du, rhs)
+            return _kernels.thomas_solve(vols * d, self.e, vols * rhs)
 
         def poisson(r, c=0.0):
             r = _sine_transform(r.reshape(self._eigenvalues.shape))
@@ -316,7 +322,7 @@ def negative_laplacian(grid: Grid) -> LinearOperator:
         dl = -flux[:-1] / vols[1:]
         du = -flux[:-1] / vols[:-1]
         # the outermost face couples to the eliminated ghost node at r = R
-        return LinearOperator(grid, dl, d, du)
+        return LinearOperator(grid, dl, d, du, -flux[:-1])
 
     # the lattice: the Kronecker sum of one second difference per axis, by its
     # diagonals (7x faster than sp.kronsum at 15 x 15).  An axis couples nodes
@@ -333,5 +339,7 @@ def negative_laplacian(grid: Grid) -> LinearOperator:
         diagonals += [e.ravel()[: m - stride]] * 2
         offsets += [-stride, stride]
     if len(grid.shape) == 1:
-        return LinearOperator(grid, diagonals[1], diagonals[0], diagonals[2])
+        # each face of a unit cross-section conducts 1/h
+        e = np.full(m - 1, -1.0 / h)
+        return LinearOperator(grid, diagonals[1], diagonals[0], diagonals[2], e)
     return LinearOperator(grid, None, None, None, _csr=sp.diags(diagonals, offsets, format="csr"))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -40,38 +41,46 @@ class Nonlinearity:
     # Overflow saturates to inf and is then clipped to the cap, so the
     # warning carries no information.
 
-    def _unclamped(self, tt: np.ndarray) -> np.ndarray:
-        """g at the argument-clamped points ``tt``, before the value clamp."""
-        if self.kind == "power":
-            return np.where(tt > 0.0, np.maximum(tt, 0.0) ** self.p, 0.0)
-        if self.kind == "exp":
-            return np.where(tt > 0.0, np.expm1(tt), 0.0)
-        return np.sign(tt) * np.expm1(np.abs(tt))
-
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
-            tt = np.minimum(np.atleast_1d(t), self.arg_hi)
-            v = np.clip(self._unclamped(tt), self.lo, self.hi)
-        return float(v[0]) if t.ndim == 0 else v
+        return self.value_and_slope(t)[0]
 
-    def deriv(self, t):
-        # zero past the clamps, the interior slope at the kinks themselves,
-        # so the Jacobian stays bounded
+    def value_and_slope(self, t):
+        """(g(t), g'(t)) from one transcendental pass: g' is zero past the
+        clamps and, for the one-sided kinds, at t <= 0; at the kinks
+        themselves it is the interior slope, so the Jacobian stays bounded.
+        ``g(t)`` is exactly this value."""
         t = np.asarray(t, dtype=float)
         t1 = np.atleast_1d(t)
         with np.errstate(over="ignore"):
-            tt = np.minimum(t1, self.arg_hi)
-            v = self._unclamped(tt)
+            tt = np.minimum(t1, self.arg_hi) if self.arg_hi < math.inf else t1
             if self.kind == "power":
-                safe = np.maximum(tt, 1e-300)
-                d = np.where(tt > 0.0, self.p * safe ** (self.p - 1.0), 0.0)
-            elif self.kind == "exp":
-                d = np.where(tt > 0.0, np.exp(tt), 0.0)
+                x = np.maximum(tt, 0.0)
+                pw = x ** (self.p - 1.0)
+                v, d = pw * x, self.p * pw
             else:
-                d = np.exp(np.abs(tt))
-            d = np.where((v > self.hi) | (v < self.lo) | (t1 > self.arg_hi), 0.0, d)
-        return float(d[0]) if t.ndim == 0 else d
+                x = np.maximum(tt, 0.0) if self.kind == "exp" else np.abs(tt)
+                v, d = np.expm1(x), np.exp(x)
+                if self.kind == "exp2sided":
+                    v *= np.sign(tt)
+            # g' is zeroed once, where any clamp binds; each test runs only
+            # where its clamp exists, and t <= 0 only where maximum left a
+            # slope of 1 (e^0, and 0^0 for p = 1)
+            dead = []
+            if self.kind == "exp" or self.p == 1.0:
+                dead.append(tt <= 0.0)
+            if self.arg_hi < math.inf:
+                dead.append(t1 > self.arg_hi)
+            if self.hi < math.inf:
+                dead.append(v > self.hi)
+            if self.lo > -math.inf:
+                dead.append(v < self.lo)
+            if dead:
+                d[reduce(np.logical_or, dead)] = 0.0
+            if self.hi < math.inf or self.lo > -math.inf:
+                v = np.clip(v, self.lo, self.hi)
+        if t.ndim == 0:
+            return float(v[0]), float(d[0])
+        return v, d
 
     # --- structure flags ---------------------------------------------------
 

@@ -43,10 +43,11 @@ class ReducedResult:
     ``u_star`` is the scheme's limit state: it solves the untruncated
     equation with datum ``mu_star`` at this resolution.  ``levels`` holds
     one record per scheme step with the cap ``n``, the L1 step from the
-    previous iterate, the absorbed mass ``gmass`` and a summary of the
-    iterate.  ``converged`` means the scheme itself settled (the monotone
-    limit was reached at this resolution), not merely that the schedule
-    ran out.
+    previous iterate, the absorbed mass ``gmass``, the mass the cap
+    withheld (``excess``, on ``capped_cells`` cells; 0 where no cap is
+    applied), the step's Newton iterations and a summary of the iterate.
+    ``converged`` means the scheme itself settled (the monotone limit was
+    reached at this resolution), not merely that the schedule ran out.
     """
 
     u_star: GridFunction
@@ -436,7 +437,7 @@ def reduce_by_mollification(
     vols = grid.cell_volumes
     steps = ((f"kernel radius {r}", g, mu.mollify_radius(r)) for r in schedule)
     levels: list[dict] = []
-    for radius, (_, u, step) in zip(schedule, _continue(op, steps)):
+    for radius, (report, u, step) in zip(schedule, _continue(op, steps)):
         levels.append(
             {
                 "n": 1.0 / radius,
@@ -444,6 +445,9 @@ def reduce_by_mollification(
                 "l1_step": step,
                 "gmass": float(np.sum(g(u) * vols)),
                 "u_l1": float(np.sum(np.abs(u) * vols)),
+                "excess": 0.0,  # no cap: nothing is withheld
+                "capped_cells": 0,
+                "newton_iterations": report.iterations,
             }
         )
     converged = len(levels) >= 2 and levels[-1]["l1_step"] < seq_tol

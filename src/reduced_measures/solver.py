@@ -4,7 +4,7 @@ The semilinear solver is the damped Newton iteration of
 ``_kernels.newton`` on F(u) = L u + g(u) - b with an l1 (cell-volume
 weighted) merit function, backtracking line search, and a Picard
 fallback step when the line search stalls.  Each step solves with the
-shifted operator L + diag(s): banded elimination on tridiagonal grids,
+shifted operator L + diag(s): LDL^T elimination on tridiagonal grids,
 CG preconditioned by a sine-transform Poisson solve on rect2d.  The CG
 stops at the step's forcing term (``_kernels``): a relative linear
 residual of 1e-3 at the first step that tightens, down to 1e-10, as

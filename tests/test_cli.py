@@ -136,6 +136,31 @@ def test_reduce_reports_the_clamped_atom(tmp_path):
         assert len(rows) > 2
 
 
+def test_mollification_levels_record_their_newton_iterations(tmp_path):
+    # mollification caps nothing: no excess, no capped cells, and each
+    # level's Newton solve counted, in levels.csv and in a sweep row
+    base = {
+        "grid": {"kind": "radialN", "h": 2.0**-7, "dim": 3, "radius": 1.0},
+        "nonlinearity": {"kind": "power", "p": 2.0},
+        "measure": {"atoms": [{"at": 0.0, "weight": 2.0}]},
+        "scheme": "mollification",
+    }
+    out = tmp_path / "reduce"
+    assert cli.main(["reduce", "--config", _write(tmp_path, "m.json", base), "--out", str(out)]) == 0
+    with open(out / "levels.csv", newline="") as fh:
+        levels = list(csv.DictReader(fh))
+    assert levels and all(float(r["excess"]) == 0.0 and r["capped_cells"] == "0" for r in levels)
+    assert all(int(r["newton_iterations"]) > 0 for r in levels)
+
+    sweep = {"base": base, "sweep": {"parameter": "p", "values": [2.0]}}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", _write(tmp_path, "s.json", sweep), "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        ((row,),) = [list(csv.DictReader(fh))]
+    assert row["status"] == "ok"
+    assert int(row["newton_iterations"]) == sum(int(r["newton_iterations"]) for r in levels)
+
+
 def test_reduce_output_is_byte_deterministic(tmp_path):
     cfg = _reduce_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

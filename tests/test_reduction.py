@@ -385,8 +385,9 @@ class _Scaled:
     def __call__(self, t):
         return self.k * self.g(t)
 
-    def deriv(self, t):
-        return self.k * self.g.deriv(t)
+    def value_and_slope(self, t):
+        value, slope = self.g.value_and_slope(t)
+        return self.k * value, self.k * slope
 
     def truncate(self, n, family="value"):
         return _Scaled(self.g.truncate(n / self.k, family), self.k)

@@ -5,7 +5,7 @@ under ``perfbench/run.py --trace 1``."""
 import math
 from pathlib import Path
 
-from reduced_measures import grids, reduction, solver
+from reduced_measures import _kernels, grids, reduction, solver
 from reduced_measures.grids import build_grid
 from reduced_measures.measures import DiscreteMeasure
 from reduced_measures.nonlinearities import make_exponential
@@ -25,6 +25,8 @@ def test_tracer_spans_every_stage_and_puts_the_originals_back(monkeypatch):
         (reduction, "solve_semilinear"),
         (solver, "solve_semilinear"),
         (grids.LinearOperator, "solve"),
+        (_kernels, "thomas_solve"),
+        (_kernels, "newton_tridiag"),
     ]
     originals = [getattr(owner, name) for owner, name in traced]
 
@@ -38,7 +40,9 @@ def test_tracer_spans_every_stage_and_puts_the_originals_back(monkeypatch):
         tracer.uninstall()
 
     names = {span[NAME] for span in tracer.spans}
+    # the linear algebra is counted only while the kernels are called
+    # through the module names the tracer wraps
     assert {"reduction.march", "reduction.saturate", "reduction.extract",
-            "solver.solve"} <= names
+            "solver.solve", "kernels.newton", "kernels.thomas"} <= names
     for (owner, name), original in zip(traced, originals):
         assert getattr(owner, name) is original, name
