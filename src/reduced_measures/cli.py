@@ -353,8 +353,8 @@ def run_sweep(raw: dict, out_dir: str) -> int:
             f"sweep parameter must be one of {_SWEEP_PARAMETERS}, got {parameter!r}"
         )
     values = sweep.get("values")
-    if not values:
-        raise ConfigError("sweep needs a non-empty 'values' list")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep needs a non-empty 'values' list, got {values!r}")
     try:
         values = sorted(float(v) for v in values)
     except (TypeError, ValueError) as exc:

@@ -93,10 +93,9 @@ class DiscreteMeasure:
     # --- arithmetic ---------------------------------------------------------
 
     def _check_grid(self, other: "DiscreteMeasure"):
-        if other.grid is not self.grid and (
-            other.grid.kind != self.grid.kind
-            or other.grid.n_nodes != self.grid.n_nodes
-            or other.grid.h != self.grid.h
+        a, b = self.grid, other.grid
+        if b is not a and (
+            (a.kind, a.dim, a.h, a.extents, a.shape) != (b.kind, b.dim, b.h, b.extents, b.shape)
         ):
             raise ValueError("measures live on different grids")
 

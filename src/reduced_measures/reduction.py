@@ -175,25 +175,6 @@ def _radius_ladder(h: float, rho_max: float) -> np.ndarray:
     return np.array(radii)
 
 
-def _flux_profile(
-    grid: Grid,
-    datum_cell_mass: np.ndarray,
-    absorbed_cell_mass: np.ndarray,
-    dist: np.ndarray,
-    radii: np.ndarray,
-) -> np.ndarray:
-    """Out-flux through each measurement sphere: datum minus absorption
-    inside the ball.  Exact by the cellwise budget of the solve."""
-    net = datum_cell_mass - absorbed_cell_mass
-    order = np.argsort(dist)
-    cum = np.cumsum(net[order])
-    idx = np.searchsorted(dist[order], radii, side="right")
-    out = np.zeros(len(radii))
-    nonzero = idx > 0
-    out[nonzero] = cum[idx[nonzero] - 1]
-    return out
-
-
 def _uses_log_tail(g: Nonlinearity, grid: Grid) -> bool:
     # The planar exponential model absorbs along a logarithmic tail all
     # the way down to the atom; power models either converge outright or
@@ -213,14 +194,28 @@ def _fit_atom(
     deficit.  Returns the constant.  The tail's radii are measured in
     units of the domain ``scale``, so the split does not depend on the
     unit of length."""
-    if len(radii) < 3:
-        return float(flux[-1])
     cols = [np.ones_like(radii)]
     if log_tail:
         cols.append(-1.0 / np.log(scale / radii))
     cols.append((h / radii) ** _TAIL_EXPONENT)
     coef, *_ = np.linalg.lstsq(np.column_stack(cols), flux, rcond=None)
     return float(coef[0])
+
+
+def _ladder_profile(dist: np.ndarray, radii: np.ndarray):
+    """The out-flux through each sphere of ``radii`` about an atom, as a
+    function of the cells' net mass (datum minus absorption): the mass
+    inside the ball, exact by the cellwise budget of the solve.  The
+    nodes are sorted by their distance ``dist`` from the atom and counted
+    per radius once, for every state read on this ladder."""
+    order = np.argsort(dist)
+    counts = np.searchsorted(dist[order], radii, side="right")
+    inside = order[: counts.max(initial=0)]
+
+    def flux(net: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(net[inside])))[counts]
+
+    return flux
 
 
 def _clamp_to_atom(a: float, w: float) -> float:
@@ -240,87 +235,63 @@ def _extract_atoms(
     Two passes: a profile fit per atom gives a first candidate, then one
     matched-reference step re-solves with the candidate measure, starting
     from ``u_sat``, and fits the flux difference, cancelling the
-    absorption tail and the mesh deficit to first order.
+    absorption tail and the mesh deficit to first order.  Only atoms that
+    g absorbs are read; the others pass through the scheme untouched.
     """
     grid = mu.grid
-    h = grid.h
-    vols = grid.cell_volumes
-    datum = assemble_rhs(grid, mu) * vols
-    absorbed = g(u_sat) * vols
-    scale = grid.scale
+    h, scale, vols = grid.h, grid.scale, grid.cell_volumes
 
-    atom_nodes = [node for node, _ in mu.atoms]
-    weights = {node: w for node, w in mu.atoms}
-    positions = {node: grid.atom_distances(node) for node in atom_nodes}
-    boundary_gap = {
-        node: float(np.min(positions[node][grid.boundary_adjacent]))
-        for node in atom_nodes
-    }
+    def net_mass(mu_k: DiscreteMeasure, u_k: np.ndarray) -> np.ndarray:
+        return assemble_rhs(grid, mu_k) * vols - g(u_k) * vols
+
+    # nothing absorbs on the negative side of a one-sided g
+    absorbed = [(node, w) for node, w in mu.atoms if not (w < 0 and g.vanishes_on_negatives)]
     # The tail columns of the fit model absorption on every sampled
     # annulus.  Where the state crosses to the opposite sign of the atom
     # the absorption support ends (one-sided g) or switches branch
     # (two-sided g), so the ladder must stop short of that interface.
     u_tol = 1e-9 * max(1.0, float(np.max(np.abs(u_sat))))
 
-    def rho_max_for(node: int) -> float:
-        rho = scale / 4.0
-        rho = min(rho, 0.75 * boundary_gap[node])
-        for other in atom_nodes:
+    def ladder(node: int, w: float):
+        dist = grid.atom_distances(node)
+        rho = min(scale / 4.0, 0.75 * float(np.min(dist[grid.boundary_adjacent])))
+        for other, _ in mu.atoms:
             if other != node:
-                rho = min(rho, 0.5 * float(positions[node][other]))
-        hostile = (math.copysign(1.0, weights[node]) * u_sat) < -u_tol
+                rho = min(rho, 0.5 * float(dist[other]))
+        hostile = (math.copysign(1.0, w) * u_sat) < -u_tol
         if np.any(hostile):
-            rho = min(rho, float(np.min(positions[node][hostile])))
-        return rho
+            rho = min(rho, float(np.min(dist[hostile])))
+        radii = _radius_ladder(h, rho)
+        return radii, _ladder_profile(dist, radii)
 
-    ladders = {node: _radius_ladder(h, rho_max_for(node)) for node in atom_nodes}
+    ladders = {node: ladder(node, w) for node, w in absorbed}
     log_tail = _uses_log_tail(g, grid)
 
     # each atom's flux profile in the saturated state, fitted once here
     # and reused as the reference step's baseline
-    profiles = {
-        node: _flux_profile(grid, datum, absorbed, positions[node], ladders[node])
-        for node in atom_nodes
-        if len(ladders[node])
-    }
-    candidate: dict[int, float] = {}
-    for node, w in mu.atoms:
-        if w < 0 and g.vanishes_on_negatives:
-            # nothing absorbs on the negative side, so the atom passes
-            # through the scheme untouched
-            candidate[node] = w
-            continue
-        a = 0.0
-        if node in profiles:
-            a = _fit_atom(ladders[node], profiles[node], h, log_tail, scale)
+    net = net_mass(mu, u_sat)
+    profiles = {}
+    candidate = dict(mu.atoms)
+    for node, w in absorbed:
+        radii, flux = ladders[node]
+        profiles[node] = profile = flux(net)
+        if len(radii) >= 3:
+            a = _fit_atom(radii, profile, h, log_tail, scale)
+        else:
+            a = float(profile[-1]) if len(radii) else 0.0
         candidate[node] = _clamp_to_atom(a, w)
 
-    needs_reference = any(
-        abs(candidate[node] - w) > 1e-12 * max(1.0, abs(w)) for node, w in mu.atoms
-    )
     info = {"first_fit": dict(candidate), "reference_step": None}
-    if needs_reference:
+    if any(abs(candidate[node] - w) > 1e-12 * max(1.0, abs(w)) for node, w in absorbed):
         mu_ref = DiscreteMeasure(grid, mu.density, tuple(candidate.items()))
-        u_ref = _saturate(op, g, mu_ref, u0=u_sat)
-        d_ref = assemble_rhs(grid, mu_ref) * vols
-        a_ref = g(u_ref) * vols
-        steps = {}
-        for node, w in mu.atoms:
-            if w < 0 and g.vanishes_on_negatives:
-                continue
-            radii = ladders[node]
-            if len(radii) < 2:
-                continue
-            flux_r = _flux_profile(grid, d_ref, a_ref, positions[node], radii)
-            diff = profiles[node] - flux_r
-            cols = np.column_stack(
-                [np.ones_like(radii), (h / radii) ** _TAIL_EXPONENT]
-            )
-            coef, *_ = np.linalg.lstsq(cols, diff, rcond=None)
-            step = float(coef[0])
-            candidate[node] = _clamp_to_atom(candidate[node] + step, w)
-            steps[node] = step
-        info["reference_step"] = steps
+        net_ref = net_mass(mu_ref, _saturate(op, g, mu_ref, u0=u_sat))
+        info["reference_step"] = steps = {}
+        for node, w in absorbed:
+            radii, flux = ladders[node]
+            if len(radii) >= 2:
+                step = _fit_atom(radii, profiles[node] - flux(net_ref), h, False, scale)
+                candidate[node] = _clamp_to_atom(candidate[node] + step, w)
+                steps[node] = step
 
     return DiscreteMeasure(grid, mu.density, tuple(candidate.items())), info
 
@@ -452,7 +423,7 @@ def reduce_by_mollification(
         )
     converged = len(levels) >= 2 and levels[-1]["l1_step"] < seq_tol
 
-    diagnostics: dict = {"seq_tol": seq_tol, "kernel_floor": schedule[-1]}
+    diagnostics: dict = {"seq_tol": seq_tol}
     if converged or not mu.atoms:
         mu_star = mu
         u_limit = _saturate(op, g, mu, u0=u)
@@ -531,7 +502,5 @@ def reduce_signed(
             "direct_vs_combined_tv": tv_distance(res_dir.mu_star, mu_star),
             "direct_mu_star": res_dir.mu_star,
             "direct_converged": res_dir.converged,
-            "positive_part": res_pos.diagnostics,
-            "negative_part": res_neg.diagnostics,
         },
     )

@@ -13,15 +13,20 @@ numbers:
   erosion to dominate, but on the default cap schedule it grows only
   linearly in ln(1/h), by about 7.3e-4 per unit (measured 1 - p3_atom =
   0.00475 / 0.00576 / 0.00677 / 0.00780 at h = 2^-12 / 2^-14 / 2^-16 /
-  2^-18), so at h = 2^-13 about 0.5 % of the atom is gone;
+  2^-18), so at h = 2^-13 about 0.5 % of the atom is gone.  The flux
+  obeys the derived near-atom balance 1/F(rho)^2 = 1/c^2 +
+  ln(rho/h)/(8 pi^2): the raw flux F(1/4) erodes by 5.4-5.5e-3 per unit
+  of ln(1/h), matching F^3/(16 pi^2) ~ 5.6e-3, and the reducer's atom
+  erodes 7.5x slower because the extractor's model has no tail column;
 * in the concentrating-stability collapse (criterion 11) the solution
   norm falls like a power of ln(1/eps) with measured exponent -0.225
   (h = 2^-12, eps down to 2^-10) and -0.255 (h = 2^-16, eps down to
   2^-14); even at exponent -1/3 a 5x drop from eps = 1/8 would need
   ln(1/eps) near 260, so it is unreachable for any resolvable eps.
 
-Both laws are measured, not derived; README gives the numbers.  The
-checks run faithfully and report the honest numbers.
+Criterion 2's law is derived and criterion 11's is measured; README
+gives the numbers.  The checks run faithfully and report the honest
+numbers.
 """
 
 from reduced_measures import verify

@@ -234,6 +234,10 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
         ("reduce", {**mollify, "schedule": [0.001]}),
         ("reduce", {**mollify, "measure": {"atoms": [{"at": 0.95, "weight": 2.0}]}}),
         ("sweep", {"base": reduce_base, "sweep": {"parameter": "h", "values": ["a"]}}),
+        # values is a JSON list, not a string or an object to iterate
+        ("sweep", {"base": reduce_base, "sweep": {"parameter": "atom_mass", "values": "123"}}),
+        ("sweep", {"base": reduce_base,
+                   "sweep": {"parameter": "atom_mass", "values": {"4": "x", "5": None}}}),
         # the cut-off at this delta reaches the boundary ring
         ("capacity", {"grid": {"kind": "rect2d", "h": 2.0**-7}, "delta": 1e-6,
                       "sets": [{"kind": "point", "at": [0.5, 0.5]}]}),

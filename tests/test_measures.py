@@ -204,3 +204,17 @@ def test_measures_on_different_grids_do_not_mix():
     other = build_grid("radialN", 2.0**-5, dim=2, radius=1.0)
     with pytest.raises(ValueError):
         DiscreteMeasure.zero(GRID) + DiscreteMeasure.zero(other)
+    # equal kind, h and node count: the unit disk and the unit ball, and
+    # the 2 x 1 and 1 x 2 rectangles (shapes (15, 31) and (31, 15))
+    def one(grid):
+        return DiscreteMeasure.from_density(grid, 1.0)
+
+    for a, b in [
+        (GRID, build_grid("radialN", 2.0**-4, dim=3, radius=1.0)),
+        (build_grid("rect2d", 2.0**-4, extents=(2.0, 1.0)),
+         build_grid("rect2d", 2.0**-4, extents=(1.0, 2.0))),
+    ]:
+        with pytest.raises(ValueError, match="different grids"):
+            tv_distance(one(a), one(b))
+    # the same grid built twice is one grid
+    assert tv_distance(one(GRID), one(build_grid("radialN", 2.0**-4, dim=2, radius=1.0))) == 0.0

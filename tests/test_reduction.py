@@ -187,8 +187,7 @@ def test_signed_reduction_splits_by_sign():
     ((_, w_pos),) = res_pos.mu_star.atoms
     assert w_neg == pytest.approx(-w_pos, abs=1e-9)
     assert res_neg.scheme == "signed-split"
-    assert "positive_part" in res_neg.diagnostics
-    assert "negative_part" in res_neg.diagnostics
+    assert "direct_vs_combined_l1" in res_neg.diagnostics
 
 
 def test_signed_direct_route_is_the_truncation_of_the_signed_datum():

@@ -15,7 +15,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def test_tracer_spans_every_stage_and_puts_the_originals_back(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracing import NAME, Tracer
+    from tracing import NAME, PARENT, Tracer
 
     traced = [
         (reduction, "reduce_by_truncation"),
@@ -44,5 +44,9 @@ def test_tracer_spans_every_stage_and_puts_the_originals_back(monkeypatch):
     # through the module names the tracer wraps
     assert {"reduction.march", "reduction.saturate", "reduction.extract",
             "solver.solve", "kernels.newton", "kernels.thomas"} <= names
+    # the extractor's matched-reference solve is a saturation, counted as one
+    spans = tracer.spans
+    assert any(s[NAME] == "reduction.saturate" and s[PARENT] >= 0
+               and spans[s[PARENT]][NAME] == "reduction.extract" for s in spans)
     for (owner, name), original in zip(traced, originals):
         assert getattr(owner, name) is original, name
